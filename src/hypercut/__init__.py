@@ -19,7 +19,6 @@ from .core import (
     Automorphism,
     Cube,
     adjacent,
-    apply_automorphism,
     edge_mapping_automorphism,
     hamming_distance,
     vertex_from_string,
@@ -31,7 +30,6 @@ from .cuts import (
     StructureKind,
     build_cycle_cut,
     build_path_cut,
-    canonical_isolating_vertex,
 )
 from .embeddings import (
     CubeCycle,
@@ -80,10 +78,8 @@ __all__ = [
     "SearchBudget",
     "StructureKind",
     "adjacent",
-    "apply_automorphism",
     "build_cycle_cut",
     "build_path_cut",
-    "canonical_isolating_vertex",
     "check_pair_neighbor_counts",
     "components_after_removal",
     "edge_mapping_automorphism",

@@ -16,7 +16,7 @@ from itertools import combinations
 from typing import Iterable
 
 from .core import Cube, adjacent
-from .cuts import CubeStar, CutElement, CutFamily, StructureKind, STRUCTURE
+from .cuts import CutFamily, admissible_shapes
 from .embeddings import CubeCycle, CubePath, random_embedded_cycle, random_embedded_path
 
 
@@ -43,44 +43,44 @@ def neighborhood_vertex_mask(n: int, vertex_mask: int) -> int:
     return result & ~vertex_mask
 
 
+def vertex_mask(n: int, vertices: Iterable[int]) -> int:
+    """Bitmask of a vertex set; built in a byte buffer, so large n costs O(2^n / 8) once."""
+    bits = bytearray(((1 << n) + 7) // 8)
+    for v in vertices:
+        bits[v >> 3] |= 1 << (v & 7)
+    return int.from_bytes(bits, "little")
+
+
+def _grow_component(n: int, seed: int, allowed: int) -> int:
+    """The component of the allowed vertices that contains the one-vertex mask seed."""
+    shifts = coordinate_shift_masks(n)
+    frontier = visited = seed
+    while frontier:
+        nxt = 0
+        for b, lo, hi in shifts:
+            nxt |= ((frontier & lo) << b) | ((frontier & hi) >> b)
+        frontier = nxt & allowed & ~visited
+        visited |= frontier
+    return visited
+
+
 def component_masks(n: int, removed_mask: int) -> list[int]:
     """Connected components of Q_n minus the removed vertices, as bitmasks."""
-    size = 1 << n
-    full = (1 << size) - 1
-    remaining = full & ~removed_mask
-    shifts = coordinate_shift_masks(n)
+    remaining = ((1 << (1 << n)) - 1) & ~removed_mask
     comps: list[int] = []
     while remaining:
-        frontier = remaining & -remaining
-        visited = frontier
-        while frontier:
-            nxt = 0
-            for b, lo, hi in shifts:
-                nxt |= ((frontier & lo) << b) | ((frontier & hi) >> b)
-            frontier = nxt & remaining & ~visited
-            visited |= frontier
-        comps.append(visited)
-        remaining &= ~visited
+        comp = _grow_component(n, remaining & -remaining, remaining)
+        comps.append(comp)
+        remaining &= ~comp
     return comps
 
 
 def is_disconnecting_mask(n: int, removed_mask: int) -> bool:
     """True iff the complement is trivial (<= 1 vertex) or disconnected."""
-    size = 1 << n
-    full = (1 << size) - 1
-    remaining = full & ~removed_mask
+    remaining = ((1 << (1 << n)) - 1) & ~removed_mask
     if remaining & (remaining - 1) == 0:
         return True  # empty or a single vertex
-    shifts = coordinate_shift_masks(n)
-    frontier = remaining & -remaining
-    visited = frontier
-    while frontier:
-        nxt = 0
-        for b, lo, hi in shifts:
-            nxt |= ((frontier & lo) << b) | ((frontier & hi) >> b)
-        frontier = nxt & remaining & ~visited
-        visited |= frontier
-    return visited != remaining
+    return _grow_component(n, remaining & -remaining, remaining) != remaining
 
 
 @dataclass(frozen=True)
@@ -115,9 +115,7 @@ def components_after_removal(n: int, removed: Iterable[int]) -> ComplementReport
     removed_set = frozenset(removed)
     for v in removed_set:
         cube.check_vertex(v)
-    mask = 0
-    for v in removed_set:
-        mask |= 1 << v
+    mask = vertex_mask(n, removed_set)
     comps = []
     for comp_mask in component_masks(n, mask):
         comp = frozenset(i for i in range(1 << n) if (comp_mask >> i) & 1)
@@ -142,78 +140,24 @@ class CutVerdict:
         return self.status == VALID_CUT
 
 
-def _element_contract_violation(kind: StructureKind, mode: str, el: CutElement) -> str | None:
-    """Check one element against the isomorphism contract of (kind, mode).
-
-    Shape checking needs no subgraph-isomorphism engine: every admissible
-    element is a path, a cycle of the exact length, or a star, so the
-    element's own invariants plus a size check decide it.
-    """
-    internal = el.violation()
-    if internal is not None:
-        return internal
-    name, size = kind.name, kind.size
-    if name == "path":
-        if not isinstance(el, CubePath):
-            return "path families admit only path elements"
-        if mode == STRUCTURE and el.vertex_count != size:
-            return f"structure mode needs exactly {size} vertices, got {el.vertex_count}"
-        if el.vertex_count > size:
-            return f"element has {el.vertex_count} vertices, limit is {size}"
-        return None
-    if name == "cycle":
-        if isinstance(el, CubeCycle):
-            if el.length != size:
-                return f"cycle element has length {el.length}, expected {size}"
-            return None
-        if isinstance(el, CubePath):
-            if mode == STRUCTURE:
-                return "structure mode admits only full cycles"
-            if el.vertex_count > size:
-                return f"element has {el.vertex_count} vertices, limit is {size}"
-            return None
-        return "cycle families admit only cycle or path elements"
-    if name == "vertex":
-        if not isinstance(el, CubePath) or el.vertex_count != 1:
-            return "vertex families admit only single-vertex elements"
-        return None
-    if name == "edge":
-        if not isinstance(el, CubePath):
-            return "edge families admit only path elements"
-        if mode == STRUCTURE and el.vertex_count != 2:
-            return f"structure mode needs exactly 2 vertices, got {el.vertex_count}"
-        if el.vertex_count > 2:
-            return f"element has {el.vertex_count} vertices, limit is 2"
-        return None
-    if name == "star":
-        if isinstance(el, CubeStar):
-            if mode == STRUCTURE and len(el.leaves) != size:
-                return f"structure mode needs exactly {size} leaves, got {len(el.leaves)}"
-            if len(el.leaves) > size:
-                return f"element has {len(el.leaves)} leaves, limit is {size}"
-            return None
-        if isinstance(el, CubePath):
-            if mode == STRUCTURE:
-                return "structure mode admits only full stars"
-            if el.vertex_count > 2:
-                return "path elements in star families are limited to 2 vertices"
-            return None
-        return "star families admit only star or short path elements"
-    return f"unknown kind {name!r}"
-
-
 def validate_cut(family: CutFamily) -> CutVerdict:
-    """First malformed element wins; otherwise decide cut vs non-cut by BFS."""
+    """First malformed element wins; otherwise decide cut vs non-cut by BFS.
+
+    An element is well formed when its own invariants hold and its
+    (shape, size) is admissible for the family's kind and mode.
+    """
+    admissible = admissible_shapes(family.kind, family.mode)
     for idx, el in enumerate(family.elements):
         if getattr(el, "n", None) != family.n:
             return CutVerdict(MALFORMED, idx, f"element dimension {el.n} != family dimension {family.n}")
-        reason = _element_contract_violation(family.kind, family.mode, el)
+        reason = el.violation()
+        if reason is None and (el.shape, el.size) not in admissible:
+            reason = (f"a {el.shape} of size {el.size} is not admissible in a"
+                      f" {family.mode} {family.kind.label()} family")
         if reason is not None:
             return CutVerdict(MALFORMED, idx, reason)
-    report = components_after_removal(family.n, family.vertex_union())
-    if report.disconnects_or_trivial:
-        return CutVerdict(VALID_CUT)
-    return CutVerdict(NOT_A_CUT)
+    removed = vertex_mask(family.n, (v for el in family.elements for v in el.verts))
+    return CutVerdict(VALID_CUT if is_disconnecting_mask(family.n, removed) else NOT_A_CUT)
 
 
 def path_neighbor_bound(k: int) -> int:
@@ -257,10 +201,7 @@ def g_extra_connectivity(n: int, g: int, max_dimension: int = 4) -> int:
     size = 1 << n
     for s in range(1, size):
         for subset in combinations(range(size), s):
-            mask = 0
-            for v in subset:
-                mask |= 1 << v
-            comps = component_masks(n, mask)
+            comps = component_masks(n, vertex_mask(n, subset))
             if len(comps) >= 2 and min(c.bit_count() for c in comps) >= g + 1:
                 return s
     raise ValueError(f"no removal of Q_{n} satisfies the g = {g} condition")
@@ -293,6 +234,24 @@ def _random_outside_pair(n: int, blocked: frozenset[int], rng: random.Random) ->
             return u, v
 
 
+def _bound_trials(
+    n: int, ks: Iterable[int], trials: int, rng: random.Random, sample, bound
+) -> list[tuple[int, tuple[int, ...], tuple[int, int], int]]:
+    """Sample (obstacle, outside adjacent pair) per k; keep the samples over bound(k)."""
+    ks = list(ks)
+    violations = []
+    per_k = max(1, trials // len(ks))
+    for k in ks:
+        cap = bound(k)
+        for _ in range(per_k):
+            obstacle = sample(n, k, rng)
+            pair = _random_outside_pair(n, obstacle.vertex_set(), rng)
+            count = check_pair_neighbor_counts(n, pair, obstacle)
+            if count > cap:
+                violations.append((k, obstacle.verts, pair, count))
+    return violations
+
+
 def run_path_bound_trials(
     n: int, ks: Iterable[int], trials: int, rng: random.Random
 ) -> list[tuple[int, tuple[int, ...], tuple[int, int], int]]:
@@ -301,32 +260,11 @@ def run_path_bound_trials(
     Returns the violating samples (expected none) as
     (k, path vertices, pair, observed count).
     """
-    ks = list(ks)
-    violations = []
-    per_k = max(1, trials // len(ks))
-    for k in ks:
-        bound = path_neighbor_bound(k)
-        for _ in range(per_k):
-            path = random_embedded_path(n, k, rng)
-            pair = _random_outside_pair(n, path.vertex_set(), rng)
-            count = check_pair_neighbor_counts(n, pair, path)
-            if count > bound:
-                violations.append((k, path.verts, pair, count))
-    return violations
+    return _bound_trials(n, ks, trials, rng, random_embedded_path, path_neighbor_bound)
 
 
 def run_cycle_bound_trials(
     n: int, ks: Iterable[int], trials: int, rng: random.Random
 ) -> list[tuple[int, tuple[int, ...], tuple[int, int], int]]:
     """Random (embedded k-cycle, outside adjacent pair) samples vs the k - 1 cap."""
-    ks = list(ks)
-    violations = []
-    per_k = max(1, trials // len(ks))
-    for k in ks:
-        for _ in range(per_k):
-            cycle = random_embedded_cycle(n, k, rng)
-            pair = _random_outside_pair(n, cycle.vertex_set(), rng)
-            count = check_pair_neighbor_counts(n, pair, cycle)
-            if count > k - 1:
-                violations.append((k, cycle.verts, pair, count))
-    return violations
+    return _bound_trials(n, ks, trials, rng, random_embedded_cycle, lambda k: k - 1)

@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 from . import analysis, formulas
 from .analysis import components_after_removal, validate_cut
 from .core import Cube, vertex_to_string
-from .cuts import CubeStar, CutFamily, StructureKind, build_cycle_cut, build_path_cut, canonical_isolating_vertex
-from .embeddings import CubeCycle, CubePath
+from .cuts import CutElement, CutFamily, StructureKind, build_cycle_cut, build_path_cut
 from .oracle import BudgetError, SearchBudget, min_structure_cut
 
 SCHEMA = "hypercut/v1"
@@ -56,15 +55,9 @@ def _oracle_ceiling() -> int:
     return value
 
 
-def _element_payload(el: CubePath | CubeCycle | CubeStar, n: int) -> dict:
-    if isinstance(el, CubeCycle):
-        shape = "cycle"
-    elif isinstance(el, CubeStar):
-        shape = "star"
-    else:
-        shape = "path"
-    payload = {"type": shape, "vertices": [vertex_to_string(v, n) for v in el.verts]}
-    if isinstance(el, CubeStar):
+def _element_payload(el: CutElement, n: int) -> dict:
+    payload = {"type": el.shape, "vertices": [vertex_to_string(v, n) for v in el.verts]}
+    if el.shape == "star":
         payload["center"] = vertex_to_string(el.center, n)
     return payload
 
@@ -177,12 +170,8 @@ def render_dot(n: int, removed: frozenset[int]) -> str:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    if args.kind == "path":
-        family = build_path_cut(args.n, args.k)
-    elif args.kind == "cycle":
-        family = build_cycle_cut(args.n, args.k)
-    else:
-        raise ValueError(f"no constructor for kind {args.kind!r}; choose path or cycle")
+    build = build_path_cut if args.kind == "path" else build_cycle_cut
+    family = build(args.n, args.k)
     # complement BFS over 2^n-bit masks is instant through n = 14 or so;
     # past that only the per-element checks run
     if args.n <= 14:
@@ -197,11 +186,11 @@ def cmd_construct(args: argparse.Namespace) -> int:
         "command": "construct",
         "parameters": {"n": args.n, "kind": args.kind, "k": args.k},
         "family": _family_payload(family),
-        "isolated_vertex": vertex_to_string(canonical_isolating_vertex(family), args.n),
+        "isolated_vertex": vertex_to_string(0, args.n),  # every built family isolates 00..0
         "verdict": verdict_status,
     }
     _emit_json(payload, args.out)
-    return EXIT_MISMATCH if verdict_status == "elements-ok-but-not-a-cut" or verdict_status.startswith("malformed") else EXIT_OK
+    return EXIT_MISMATCH if verdict_status in (analysis.NOT_A_CUT, analysis.MALFORMED) else EXIT_OK
 
 
 # --- verify ---
@@ -380,11 +369,7 @@ def _parse_kind(kind_name: str, k: int | None) -> StructureKind:
         return StructureKind.vertex() if kind_name == "vertex" else StructureKind.edge()
     if k is None:
         raise ValueError(f"kind {kind_name!r} needs --k")
-    if kind_name == "path":
-        return StructureKind.path(k)
-    if kind_name == "cycle":
-        return StructureKind.cycle(k)
-    return StructureKind.star(k)
+    return StructureKind(kind_name, k)
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
@@ -441,12 +426,11 @@ def cmd_property_test(args: argparse.Namespace) -> int:
             bad = sum(analysis.scan_distance2_common_neighbors(n) for n in range(2, args.nmax + 1))
             report.rows.append(_row("property", suite, "pass" if bad == 0 else "fail",
                                     f"exhaustive n <= {args.nmax}", expected=0, actual=bad))
-        elif suite == "path-bound":
-            violations = analysis.run_path_bound_trials(args.n, range(3, 10), args.trials, rng)
-            report.rows.append(_row("property", suite, "pass" if not violations else "fail",
-                                    f"trials={args.trials} n={args.n}", expected=0, actual=len(violations)))
-        elif suite == "cycle-bound":
-            violations = analysis.run_cycle_bound_trials(args.n, (4, 6, 8), args.trials, rng)
+        else:
+            if suite == "path-bound":
+                violations = analysis.run_path_bound_trials(args.n, range(3, 10), args.trials, rng)
+            else:
+                violations = analysis.run_cycle_bound_trials(args.n, (4, 6, 8), args.trials, rng)
             report.rows.append(_row("property", suite, "pass" if not violations else "fail",
                                     f"trials={args.trials} n={args.n}", expected=0, actual=len(violations)))
     report.elapsed_s = time.perf_counter() - start
@@ -463,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build an explicit cut family and dump it")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--kind", choices=["path", "cycle", "star", "vertex", "edge"], required=True)
+    p.add_argument("--kind", choices=["path", "cycle"], required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--format", choices=["json", "dot"], default="json")
     p.add_argument("--out")

@@ -171,10 +171,6 @@ def edge_mapping_automorphism(
     return Automorphism(n, tuple(perm), partial.apply(a) ^ c)
 
 
-def apply_automorphism(a: Automorphism, v: int) -> int:
-    return a.apply(v)
-
-
 @lru_cache(maxsize=None)
 def automorphism_vertex_tables(n: int) -> tuple[tuple[int, ...], ...]:
     """Vertex maps of every automorphism of Q_n, as lookup tables.

@@ -13,15 +13,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from .core import adjacent
 from .embeddings import (
     CubeCycle,
     CubePath,
+    CubeStar,
     hamiltonian_through_edge,
     odd_path_between_adjacent,
+    require_valid,
     restrict_to_subcube,
     rotate_cycle_to_edge,
 )
+
+
+# kind name -> (label template, which sizes the kind takes)
+_KINDS = {
+    "vertex": ("K1", lambda s: s == 1),
+    "edge": ("K1,1", lambda s: s == 2),
+    "star": ("K1,{}", lambda s: s >= 2),
+    "path": ("P{}", lambda s: s >= 1),
+    "cycle": ("C{}", lambda s: s >= 4 and s % 2 == 0),
+}
 
 
 @dataclass(frozen=True)
@@ -37,16 +48,9 @@ class StructureKind:
     size: int
 
     def __post_init__(self) -> None:
-        rules = {
-            "vertex": lambda s: s == 1,
-            "edge": lambda s: s == 2,
-            "star": lambda s: s >= 2,
-            "path": lambda s: s >= 1,
-            "cycle": lambda s: s >= 4 and s % 2 == 0,
-        }
-        if self.name not in rules:
+        if self.name not in _KINDS:
             raise ValueError(f"unknown structure kind {self.name!r}")
-        if not rules[self.name](self.size):
+        if not _KINDS[self.name][1](self.size):
             raise ValueError(f"invalid size {self.size} for kind {self.name!r}")
 
     @staticmethod
@@ -70,54 +74,7 @@ class StructureKind:
         return StructureKind("cycle", k)
 
     def label(self) -> str:
-        if self.name == "vertex":
-            return "K1"
-        if self.name == "edge":
-            return "K1,1"
-        if self.name == "star":
-            return f"K1,{self.size}"
-        if self.name == "path":
-            return f"P{self.size}"
-        return f"C{self.size}"
-
-
-@dataclass(frozen=True)
-class CubeStar:
-    """A star K_{1,r} embedded in Q_n: a center and r >= 2 of its neighbors."""
-
-    n: int
-    center: int
-    leaves: tuple[int, ...]
-
-    def violation(self) -> str | None:
-        size = 1 << self.n
-        if not 0 <= self.center < size:
-            return f"label {self.center} out of range for dimension {self.n}"
-        if len(self.leaves) < 2:
-            return "a star needs at least 2 leaves (smaller stars are paths)"
-        if tuple(sorted(self.leaves)) != self.leaves:
-            return "leaves must be sorted"
-        if len(set(self.leaves)) != len(self.leaves):
-            return "leaves are not distinct"
-        for leaf in self.leaves:
-            if not 0 <= leaf < size:
-                return f"label {leaf} out of range for dimension {self.n}"
-            if leaf == self.center:
-                return "center listed as a leaf"
-            if not adjacent(self.center, leaf):
-                return f"leaf {leaf} is not adjacent to center {self.center}"
-        return None
-
-    @property
-    def is_valid(self) -> bool:
-        return self.violation() is None
-
-    @property
-    def verts(self) -> tuple[int, ...]:
-        return (self.center,) + self.leaves
-
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.verts)
+        return _KINDS[self.name][0].format(self.size)
 
 
 CutElement = Union[CubePath, CubeCycle, CubeStar]
@@ -125,13 +82,38 @@ CutElement = Union[CubePath, CubeCycle, CubeStar]
 STRUCTURE = "structure"
 SUBSTRUCTURE = "substructure"
 
+# The admissible elements of a cut family, per (kind, mode), as (shape, size)
+# pairs of the kind's size; size counts vertices for paths and cycles and
+# leaves for stars.  Structure mode takes copies of H, substructure mode its
+# connected subgraphs.  The oracle enumerates exactly these and the validator
+# accepts exactly these.
+ADMISSIBLE = {
+    ("vertex", STRUCTURE): lambda _: [("path", 1)],
+    ("vertex", SUBSTRUCTURE): lambda _: [("path", 1)],
+    ("edge", STRUCTURE): lambda _: [("path", 2)],
+    ("edge", SUBSTRUCTURE): lambda _: [("path", 1), ("path", 2)],
+    ("star", STRUCTURE): lambda r: [("star", r)],
+    ("star", SUBSTRUCTURE): lambda r: [("path", 1), ("path", 2)] + [("star", j) for j in range(2, r + 1)],
+    ("path", STRUCTURE): lambda k: [("path", k)],
+    ("path", SUBSTRUCTURE): lambda k: [("path", j) for j in range(1, k + 1)],
+    ("cycle", STRUCTURE): lambda k: [("cycle", k)],
+    ("cycle", SUBSTRUCTURE): lambda k: [("path", j) for j in range(1, k + 1)] + [("cycle", k)],
+}
+
+
+def admissible_shapes(kind: StructureKind, mode: str) -> tuple[tuple[str, int], ...]:
+    """The (shape, size) pairs an element of a (kind, mode) family may have."""
+    if mode not in (STRUCTURE, SUBSTRUCTURE):
+        raise ValueError(f"mode must be structure or substructure, got {mode!r}")
+    return tuple(ADMISSIBLE[kind.name, mode](kind.size))
+
 
 @dataclass(frozen=True)
 class CutFamily:
     """A candidate H-structure or H-substructure cut: a set of embedded elements.
 
     Elements may share vertices; only each element individually must match
-    the kind's contract (checked by the validator, not here).
+    the kind's contract, ADMISSIBLE (checked by the validator, not here).
     """
 
     n: int
@@ -155,9 +137,14 @@ class CutFamily:
         return frozenset(out)
 
 
-def canonical_isolating_vertex(family: CutFamily) -> int:
-    """The vertex every constructed family isolates: all-zeros."""
-    return 0
+def _spine(start: int, stop: int) -> list[int]:
+    """e_start, e_start|e_{start+1}, e_{start+1}, ..., e_{stop-2}|e_{stop-1}, e_{stop-1}."""
+    verts: list[int] = []
+    for j in range(start, stop):
+        verts.append(1 << j)
+        if j < stop - 1:
+            verts.append((1 << j) | (1 << (j + 1)))
+    return verts
 
 
 def _window_path(n: int, start: int, h: int, trailing: bool) -> CubePath:
@@ -166,11 +153,7 @@ def _window_path(n: int, start: int, h: int, trailing: bool) -> CubePath:
     With trailing=True a final bridge e_{start+h-1} | e_t is appended,
     where t = start + h, wrapping to coordinate 0 for the last window.
     """
-    verts: list[int] = []
-    for j in range(start, start + h):
-        verts.append(1 << j)
-        if j < start + h - 1:
-            verts.append((1 << j) | (1 << (j + 1)))
+    verts = _spine(start, start + h)
     if trailing:
         t = start + h
         coord = 0 if t >= n else t
@@ -184,16 +167,6 @@ def _window_starts(n: int, h: int) -> list[int]:
     return [i * h for i in range(count - 1)] + [n - h]
 
 
-def _alternating_spine(n: int) -> list[int]:
-    """The 2n - 1 vertices e_0, e_0|e_1, e_1, ..., e_{n-2}, e_{n-2}|e_{n-1}, e_{n-1}."""
-    verts: list[int] = []
-    for j in range(n):
-        verts.append(1 << j)
-        if j < n - 1:
-            verts.append((1 << j) | (1 << (j + 1)))
-    return verts
-
-
 def _extended_path(n: int, k: int) -> CubePath:
     """One path on k >= 2n - 1 vertices covering all neighbors of the zero vertex.
 
@@ -202,7 +175,7 @@ def _extended_path(n: int, k: int) -> CubePath:
     subcube through this edge supplies the k - (2n - 1) extension vertices,
     taken in the direction leading away from e_{n-2}|e_{n-1}.
     """
-    verts = _alternating_spine(n)
+    verts = _spine(0, n)
     extension = k - (2 * n - 1)
     if extension:
         inner = hamiltonian_through_edge(n - 1, (1 << (n - 2), 0))
@@ -213,9 +186,7 @@ def _extended_path(n: int, k: int) -> CubePath:
         rotated = rotate_cycle_to_edge(lifted, anchor_a, anchor_b)
         verts.extend(rotated[2 : 2 + extension])
     path = CubePath(n, tuple(verts))
-    reason = path.violation()
-    if reason is not None:
-        raise AssertionError(f"extended path construction broke: {reason}")
+    require_valid(path)
     return path
 
 
@@ -245,11 +216,7 @@ def build_path_cut(n: int, k: int) -> CutFamily:
 
 def _window_cycle(n: int, start: int, h: int) -> CubeCycle:
     """Close a window of h >= 3 neighbors with a bridge back to the first one."""
-    verts: list[int] = []
-    for j in range(start, start + h):
-        verts.append(1 << j)
-        if j < start + h - 1:
-            verts.append((1 << j) | (1 << (j + 1)))
+    verts = _spine(start, start + h)
     verts.append((1 << (start + h - 1)) | (1 << start))
     return CubeCycle(n, tuple(verts))
 
@@ -261,7 +228,7 @@ def _long_cycle(n: int, k: int) -> CubeCycle:
     e_{n-1} to e_0|e_{n-1} inside the subcube x^{n-2} = 0, x^{n-1} = 1
     closes it back to e_0.
     """
-    verts = _alternating_spine(n)
+    verts = _spine(0, n)
     q = k - (2 * n - 1)
     inner = odd_path_between_adjacent(n - 2, 0, 1, q)
     lifted = restrict_to_subcube({n - 2: 0, n - 1: 1}, inner)
@@ -269,9 +236,7 @@ def _long_cycle(n: int, k: int) -> CubeCycle:
     assert lifted.verts[-1] == 1 | (1 << (n - 1))
     verts.extend(lifted.verts[1:])
     cycle = CubeCycle(n, tuple(verts))
-    reason = cycle.violation()
-    if reason is not None:
-        raise AssertionError(f"long cycle construction broke: {reason}")
+    require_valid(cycle)
     return cycle
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain, islice
+from typing import ClassVar
 
 from .core import Cube, adjacent, edge_mapping_automorphism
 
@@ -22,34 +24,32 @@ def gray_sequence(n: int) -> list[int]:
     return [m ^ (m >> 1) for m in range(1 << n)]
 
 
-@dataclass(frozen=True)
-class CubePath:
-    """A path embedded in Q_n: distinct vertices, consecutive ones adjacent."""
+class _Embedded:
+    """What paths, cycles and stars share.
 
+    shape and size place an element in the admissibility table of cuts:
+    size counts vertices for paths and cycles, leaves for stars.
+    """
+
+    shape: ClassVar[str]
     n: int
     verts: tuple[int, ...]
 
-    def violation(self) -> str | None:
-        """None if the path invariants hold, else the first failure."""
-        if not self.verts:
-            return "path has no vertices"
+    def _violation(self, edges) -> str | None:
+        """The shared checks: labels in range, distinct, and every given pair adjacent."""
         size = 1 << self.n
         for v in self.verts:
             if not 0 <= v < size:
                 return f"label {v} out of range for dimension {self.n}"
         if len(set(self.verts)) != len(self.verts):
             return "vertices are not distinct"
-        for a, b in zip(self.verts, self.verts[1:]):
+        for a, b in edges:
             if not adjacent(a, b):
-                return f"consecutive vertices {a} and {b} are not adjacent"
+                return f"vertices {a} and {b} are not adjacent"
         return None
 
     @property
-    def is_valid(self) -> bool:
-        return self.violation() is None
-
-    @property
-    def vertex_count(self) -> int:
+    def size(self) -> int:
         return len(self.verts)
 
     def vertex_set(self) -> frozenset[int]:
@@ -57,12 +57,32 @@ class CubePath:
 
 
 @dataclass(frozen=True)
-class CubeCycle:
+class CubePath(_Embedded):
+    """A path embedded in Q_n: distinct vertices, consecutive ones adjacent."""
+
+    shape: ClassVar[str] = "path"
+    n: int
+    verts: tuple[int, ...]
+
+    def violation(self) -> str | None:
+        """None if the path invariants hold, else the first failure."""
+        if not self.verts:
+            return "path has no vertices"
+        return self._violation(zip(self.verts, islice(self.verts, 1, None)))
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.verts)
+
+
+@dataclass(frozen=True)
+class CubeCycle(_Embedded):
     """A cycle embedded in Q_n; the closing edge is implicit (first vertex not repeated).
 
     Q_n is bipartite, so the length must be even (and at least 4).
     """
 
+    shape: ClassVar[str] = "cycle"
     n: int
     verts: tuple[int, ...]
 
@@ -71,29 +91,12 @@ class CubeCycle:
             return "cycle needs at least 4 vertices"
         if len(self.verts) % 2:
             return "odd cycle cannot embed in a bipartite graph"
-        size = 1 << self.n
-        for v in self.verts:
-            if not 0 <= v < size:
-                return f"label {v} out of range for dimension {self.n}"
-        if len(set(self.verts)) != len(self.verts):
-            return "vertices are not distinct"
-        for a, b in zip(self.verts, self.verts[1:]):
-            if not adjacent(a, b):
-                return f"consecutive vertices {a} and {b} are not adjacent"
-        if not adjacent(self.verts[-1], self.verts[0]):
-            return f"closing pair {self.verts[-1]} and {self.verts[0]} is not an edge"
-        return None
-
-    @property
-    def is_valid(self) -> bool:
-        return self.violation() is None
+        # consecutive pairs and the closing pair, without copying a long tuple
+        return self._violation(zip(self.verts, chain(islice(self.verts, 1, None), self.verts[:1])))
 
     @property
     def length(self) -> int:
         return len(self.verts)
-
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.verts)
 
     def has_edge(self, a: int, b: int) -> bool:
         """True iff {a, b} is one of the cycle's edges (including the closing one)."""
@@ -106,7 +109,32 @@ class CubeCycle:
         return False
 
 
-def _require(obj: CubePath | CubeCycle) -> None:
+@dataclass(frozen=True)
+class CubeStar(_Embedded):
+    """A star K_{1,r} embedded in Q_n: a center and r >= 2 of its neighbors, sorted."""
+
+    shape: ClassVar[str] = "star"
+    n: int
+    center: int
+    leaves: tuple[int, ...]
+
+    def violation(self) -> str | None:
+        if len(self.leaves) < 2:
+            return "a star needs at least 2 leaves (smaller stars are paths)"
+        if tuple(sorted(self.leaves)) != self.leaves:
+            return "leaves must be sorted"
+        return self._violation((self.center, leaf) for leaf in self.leaves)
+
+    @property
+    def size(self) -> int:
+        return len(self.leaves)
+
+    @property
+    def verts(self) -> tuple[int, ...]:
+        return (self.center,) + self.leaves
+
+
+def require_valid(obj: _Embedded) -> None:
     reason = obj.violation()
     if reason is not None:
         raise AssertionError(f"constructed object violates its invariants: {reason}")
@@ -140,7 +168,7 @@ def gray_hamiltonian(n: int) -> CubeCycle:
     if n < 2:
         raise ValueError(f"Hamiltonian cycles need n >= 2, got {n}")
     cycle = CubeCycle(n, tuple(gray_sequence(n)))
-    _require(cycle)
+    require_valid(cycle)
     return cycle
 
 
@@ -154,7 +182,7 @@ def hamiltonian_through_edge(n: int, edge: tuple[int, int]) -> CubeCycle:
     base = gray_hamiltonian(n)
     mapped = tuple(sigma.apply(v) for v in base.verts)
     cycle = CubeCycle(n, canonical_cycle_orientation(mapped))
-    _require(cycle)
+    require_valid(cycle)
     return cycle
 
 
@@ -179,7 +207,7 @@ def embed_even_cycle(n: int, l: int) -> CubeCycle:
     top = 1 << (n - 1)
     verts = tuple(half) + tuple(g | top for g in reversed(half))
     cycle = CubeCycle(n, canonical_cycle_orientation(verts))
-    _require(cycle)
+    require_valid(cycle)
     return cycle
 
 
@@ -205,7 +233,7 @@ def odd_path_between_adjacent(n: int, u: int, v: int, q: int) -> CubePath:
     rotated = rotate_cycle_to_edge(mapped, u, v)
     # walk the cycle the long way round: u, then back from the far end to v
     path = CubePath(n, (u,) + tuple(reversed(rotated[1:])))
-    _require(path)
+    require_valid(path)
     return path
 
 
@@ -236,12 +264,8 @@ def restrict_to_subcube(
         return w
 
     verts = tuple(lift(v) for v in inner.verts)
-    lifted: CubePath | CubeCycle
-    if isinstance(inner, CubeCycle):
-        lifted = CubeCycle(ambient_n, verts)
-    else:
-        lifted = CubePath(ambient_n, verts)
-    _require(lifted)
+    lifted = type(inner)(ambient_n, verts)
+    require_valid(lifted)
     return lifted
 
 

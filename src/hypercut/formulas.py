@@ -20,29 +20,22 @@ class NotCoveredError(ValueError):
 
 EXACT = "exact"
 LOWER_BOUND = "lower-bound"
-INTERVAL = "interval"
 
 
 @dataclass(frozen=True)
 class KappaValue:
-    """An exact connectivity value, a lower bound, or an interval.
+    """An exact connectivity value or a lower bound.
 
-    value is the exact value or the lower end; upper is only set for
-    intervals.  source names the result family the number comes from.
+    source names the result family the number comes from.
     """
 
     status: str
     value: int
     source: str
-    upper: int | None = None
 
     def __post_init__(self) -> None:
-        if self.status not in (EXACT, LOWER_BOUND, INTERVAL):
+        if self.status not in (EXACT, LOWER_BOUND):
             raise ValueError(f"unknown status {self.status!r}")
-        if self.status == INTERVAL and (self.upper is None or self.upper < self.value):
-            raise ValueError("interval needs upper >= value")
-        if self.status != INTERVAL and self.upper is not None:
-            raise ValueError("upper is only meaningful for intervals")
 
     @property
     def is_exact(self) -> bool:
@@ -125,20 +118,12 @@ def kappa_power_of_two_cycle(n: int, m: int) -> KappaValue:
     return KappaValue(EXACT, value, "power-of-two-cycle")
 
 
-_BASELINE_STRUCTURE = {
+_BASELINE = {
     ("vertex", 1): lambda n: n,
     ("edge", 2): lambda n: n - 1,
     ("star", 2): lambda n: _ceil_div(n, 2),
     ("star", 3): lambda n: _ceil_div(n, 2),
     ("cycle", 4): lambda n: n - 2,
-}
-
-_BASELINE_SUBSTRUCTURE = {
-    ("vertex", 1): lambda n: n,
-    ("edge", 2): lambda n: n - 1,
-    ("star", 2): lambda n: _ceil_div(n, 2),
-    ("star", 3): lambda n: _ceil_div(n, 2),
-    ("cycle", 4): lambda n: _ceil_div(n, 2),
 }
 
 
@@ -147,11 +132,11 @@ def kappa_baseline(n: int, kind: StructureKind, mode: str = "structure") -> Kapp
     _check_mode(mode)
     if n < 4:
         raise NotCoveredError(f"baseline values need n >= 4, got {n}")
-    table = _BASELINE_STRUCTURE if mode == "structure" else _BASELINE_SUBSTRUCTURE
-    entry = table.get((kind.name, kind.size))
+    entry = _BASELINE.get((kind.name, kind.size))
     if entry is None:
         raise NotCoveredError(f"no baseline value for {kind.label()}")
-    value = entry(n)
+    # the one mode-dependent value: substructure C4 falls to ceil(n/2), the K1,2 = P3 value
+    value = _ceil_div(n, 2) if (kind.name, mode) == ("cycle", "substructure") else entry(n)
     if kind.name == "cycle":
         general = kappa_cycle(n, 4, mode)
         if general.is_exact and general.value != value:

@@ -15,14 +15,15 @@ does exactly that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, field, replace
 from itertools import combinations
 from typing import Mapping
 
-from .analysis import is_disconnecting_mask, neighborhood_vertex_mask
+from .analysis import is_disconnecting_mask, neighborhood_vertex_mask, vertex_mask
 from .core import adjacent, automorphism_vertex_tables
-from .cuts import CubeStar, CutElement, CutFamily, StructureKind, STRUCTURE, SUBSTRUCTURE
-from .embeddings import CubeCycle, CubePath, canonical_cycle_orientation
+from .cuts import CutElement, CutFamily, StructureKind, STRUCTURE, admissible_shapes
+from .embeddings import CubeCycle, CubePath, CubeStar, canonical_cycle_orientation
 
 
 class BudgetError(RuntimeError):
@@ -33,8 +34,8 @@ class BudgetError(RuntimeError):
 class SearchBudget:
     """Limits keeping the exhaustive search at desk scale.
 
-    element_cap truncates copy enumeration; a truncated pool supports no
-    minimality claim, so the search refuses to run on one.
+    A search whose copy pool is larger than element_cap is refused: a
+    truncated pool supports no minimality claim.
     """
 
     max_family_size: int = 4
@@ -71,29 +72,23 @@ class OracleResult:
     stats: Mapping[str, int] = field(default_factory=dict)
 
 
+_SHAPE_ORDER = {"path": 0, "cycle": 1, "star": 2}
+
+
 def _shape_key(el: CutElement) -> tuple[int, tuple[int, ...]]:
-    if isinstance(el, CubePath):
-        return (0, el.verts)
-    if isinstance(el, CubeCycle):
-        return (1, el.verts)
-    return (2, el.verts)
-
-
-def _canon_key(el: CutElement) -> tuple[int, tuple[int, ...]]:
-    return _shape_key(el)
+    return (_SHAPE_ORDER[el.shape], el.verts)
 
 
 def _canon_image(el: CutElement, table: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    if isinstance(el, CubePath):
-        mapped = tuple(table[v] for v in el.verts)
-        if len(mapped) > 1 and mapped[0] > mapped[-1]:
-            mapped = mapped[::-1]
-        return (0, mapped)
-    if isinstance(el, CubeCycle):
-        return (1, canonical_cycle_orientation(tuple(table[v] for v in el.verts)))
-    center = table[el.center]
-    leaves = tuple(sorted(table[v] for v in el.leaves))
-    return (2, (center,) + leaves)
+    """The _shape_key of el's image under an automorphism's vertex table."""
+    mapped = tuple(table[v] for v in el.verts)
+    if el.shape == "cycle":
+        mapped = canonical_cycle_orientation(mapped)
+    elif el.shape == "star":
+        mapped = (mapped[0],) + tuple(sorted(mapped[1:]))
+    elif len(mapped) > 1 and mapped[0] > mapped[-1]:
+        mapped = mapped[::-1]
+    return (_SHAPE_ORDER[el.shape], mapped)
 
 
 def _enumerate_paths(n: int, k: int) -> list[CubePath]:
@@ -120,7 +115,6 @@ def _enumerate_paths(n: int, k: int) -> list[CubePath]:
 
     for v0 in range(size):
         dfs([v0], 1 << v0)
-    out.sort(key=lambda p: p.verts)
     return out
 
 
@@ -150,7 +144,6 @@ def _enumerate_cycles(n: int, k: int) -> list[CubeCycle]:
 
     for v0 in range(size):
         dfs([v0], 1 << v0)
-    out.sort(key=lambda c: c.verts)
     return out
 
 
@@ -163,47 +156,17 @@ def _enumerate_stars(n: int, r: int) -> list[CubeStar]:
     return out
 
 
-def _pool(n: int, kind: StructureKind, mode: str) -> list[CutElement]:
-    name, size = kind.name, kind.size
-    elements: list[CutElement] = []
-    if name == "path":
-        sizes = range(1, size + 1) if mode == SUBSTRUCTURE else (size,)
-        for j in sizes:
-            elements.extend(_enumerate_paths(n, j))
-    elif name == "cycle":
-        if mode == SUBSTRUCTURE:
-            for j in range(1, size + 1):
-                elements.extend(_enumerate_paths(n, j))
-        elements.extend(_enumerate_cycles(n, size))
-    elif name == "vertex":
-        elements.extend(_enumerate_paths(n, 1))
-    elif name == "edge":
-        if mode == SUBSTRUCTURE:
-            elements.extend(_enumerate_paths(n, 1))
-        elements.extend(_enumerate_paths(n, 2))
-    elif name == "star":
-        if mode == SUBSTRUCTURE:
-            elements.extend(_enumerate_paths(n, 1))
-            elements.extend(_enumerate_paths(n, 2))
-            for j in range(2, size):
-                elements.extend(_enumerate_stars(n, j))
-        elements.extend(_enumerate_stars(n, size))
-    else:
-        raise ValueError(f"unknown kind {name!r}")
-    elements.sort(key=_shape_key)
-    return elements
+_ENUMERATORS = {"path": _enumerate_paths, "cycle": _enumerate_cycles, "star": _enumerate_stars}
 
 
-def enumerate_copies(
-    n: int, kind: StructureKind, mode: str = STRUCTURE, element_cap: int | None = None
-) -> list[CutElement]:
-    """Every embedded element admissible for (kind, mode), deduplicated canonically."""
-    if mode not in (STRUCTURE, SUBSTRUCTURE):
-        raise ValueError(f"mode must be structure or substructure, got {mode!r}")
-    elements = _pool(n, kind, mode)
-    if element_cap is not None and len(elements) > element_cap:
-        return elements[:element_cap]
-    return elements
+def enumerate_copies(n: int, kind: StructureKind, mode: str = STRUCTURE) -> list[CutElement]:
+    """Every embedded element admissible for (kind, mode), deduplicated canonically.
+
+    The pool is sorted by shape (paths, cycles, stars), then by vertex tuple.
+    """
+    pool = [el for shape, size in admissible_shapes(kind, mode) for el in _ENUMERATORS[shape](n, size)]
+    pool.sort(key=_shape_key)
+    return pool
 
 
 def _orbit_partition(pool: list[CutElement], n: int) -> tuple[list[int], list[int]]:
@@ -214,7 +177,7 @@ def _orbit_partition(pool: list[CutElement], n: int) -> tuple[list[int], list[in
     of orbits, not the pool size.
     """
     tables = automorphism_vertex_tables(n)
-    index = {_canon_key(el): i for i, el in enumerate(pool)}
+    index = {_shape_key(el): i for i, el in enumerate(pool)}
     orbit_of = [-1] * len(pool)
     reps: list[int] = []
     next_orbit = 0
@@ -269,9 +232,7 @@ def _cut_test(n: int, mask: int, memo: dict[int, bool], stats: dict[str, int]) -
 
 def _seed_targets(n: int) -> list[tuple[int, int]]:
     """(target neighborhood mask, forbidden vertex mask) around vertex 0 and edge {0, e_0}."""
-    vertex_target = 0
-    for i in range(n):
-        vertex_target |= 1 << (1 << i)
+    vertex_target = vertex_mask(n, (1 << i for i in range(n)))
     edge_mask = (1 << 0) | (1 << 1)
     edge_target = neighborhood_vertex_mask(n, edge_mask)
     return [(vertex_target, 1 << 0), (edge_target, edge_mask)]
@@ -339,15 +300,11 @@ def _level_search(
             if _cut_test(n, masks[r], memo, stats):
                 return (r,)
         return None
-    orbit_counts: dict[int, int] = {}
-    for o in orbit_of:
-        orbit_counts[o] = orbit_counts.get(o, 0) + 1
-    below = 0
-    total = 0
-    for orbit, _count in sorted(orbit_counts.items()):
-        cands_count = pool_size - below - 1
-        total += math.comb(cands_count, s - 1)
-        below += orbit_counts[orbit]
+    orbit_sizes = Counter(orbit_of)
+    below = total = 0
+    for orbit in sorted(orbit_sizes):
+        total += math.comb(pool_size - below - 1, s - 1)
+        below += orbit_sizes[orbit]
     if total > _COMBINATION_CEILING:
         raise BudgetError(
             f"size-{s} sweep needs about {total} family tests, over the {_COMBINATION_CEILING} ceiling"
@@ -368,7 +325,7 @@ def _level_search(
 def _prepare(
     n: int, kind: StructureKind, mode: str, budget: SearchBudget
 ) -> tuple[list[CutElement], list[int], list[int], list[int], dict[str, int]]:
-    pool = _pool(n, kind, mode)
+    pool = enumerate_copies(n, kind, mode)
     if budget.element_cap is not None and len(pool) > budget.element_cap:
         raise BudgetError(
             f"enumeration produced {len(pool)} copies, over the element cap {budget.element_cap};"
@@ -429,8 +386,4 @@ def verify_no_smaller_cut(
     _check_budget(n, kind, budget, s - 1)
     if s <= 1:
         return True
-    pool, masks, orbit_of, reps, stats = _prepare(n, kind, mode, budget)
-    for t in range(1, s):
-        if _level_search(n, len(pool), masks, orbit_of, reps, t, stats) is not None:
-            return False
-    return True
+    return min_structure_cut(n, kind, mode, replace(budget, max_family_size=s - 1)).status == LOWER_BOUND

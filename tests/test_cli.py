@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from hypercut.cli import main, render_dot
@@ -41,7 +42,7 @@ def test_construct_range_error_names_precondition(capsys):
 def test_construct_rejects_kind_without_builder(capsys):
     code, _, err = run(capsys, "construct", "--n", "4", "--kind", "star", "--k", "2")
     assert code == 2
-    assert "no constructor" in err
+    assert "invalid choice" in err
 
 
 def test_construct_dot_output(capsys):
@@ -193,3 +194,11 @@ def test_render_dot_components_colored():
     colors = {l.split('fillcolor="')[1].split('"')[0]
               for l in text.splitlines() if 'fillcolor="#' in l}
     assert len(colors) == 2
+
+
+def test_verify_all_stdout_is_byte_stable(capsys):
+    # the sha256 recorded for this command in perfbench/workloads.py
+    code, out, _ = run(capsys, "verify", "--scope", "all", "--jobs", "1")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "646e4b8e7577b7f52d7fbdba0bbf9e41e408d0e5b36fb0afb91506dfd24face3"

@@ -164,12 +164,9 @@ def test_kappa_value_validation():
     exact = KappaValue("exact", 3, "path-cut")
     assert exact.is_exact
     with pytest.raises(ValueError):
-        KappaValue("interval", 3, "x", upper=2)
-    with pytest.raises(ValueError):
-        KappaValue("exact", 3, "x", upper=4)
-    with pytest.raises(ValueError):
         KappaValue("made-up", 3, "x")
-    assert KappaValue("interval", 2, "x", upper=4).upper == 4
+    with pytest.raises(ValueError):
+        KappaValue("interval", 3, "x")  # no longer a status
 
 
 def test_mode_validation():

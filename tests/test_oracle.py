@@ -63,10 +63,6 @@ def test_enumerate_canonical_forms():
         assert el.verts[1] < el.verts[-1]
 
 
-def test_enumerate_respects_element_cap():
-    assert len(enumerate_copies(3, StructureKind.path(4), element_cap=10)) == 10
-
-
 def test_min_cut_values_q3():
     assert min_structure_cut(3, StructureKind.path(3)).value == 2
     assert min_structure_cut(3, StructureKind.cycle(4)).value == 2
