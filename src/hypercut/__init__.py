@@ -57,7 +57,6 @@ from .oracle import (
     SearchBudget,
     enumerate_copies,
     min_structure_cut,
-    verify_no_smaller_cut,
 )
 
 __version__ = "0.1.0"
@@ -101,7 +100,6 @@ __all__ = [
     "restrict_to_subcube",
     "validate_cut",
     "verify_budengs_inequality",
-    "verify_no_smaller_cut",
     "vertex_from_string",
     "vertex_to_string",
 ]

@@ -141,10 +141,13 @@ class CutVerdict:
 
 
 def validate_cut(family: CutFamily) -> CutVerdict:
-    """First malformed element wins; otherwise decide cut vs non-cut by BFS.
+    """First malformed element wins; otherwise decide cut vs non-cut.
 
     An element is well formed when its own invariants hold and its
-    (shape, size) is admissible for the family's kind and mode.
+    (shape, size) is admissible for the family's kind and mode.  A vertex
+    outside the union with all n neighbors inside it is cut off, or is all
+    that is left, so the family is a cut at any n; only when no neighbor of
+    the union is such a vertex does the 2^n-bit complement BFS decide.
     """
     admissible = admissible_shapes(family.kind, family.mode)
     for idx, el in enumerate(family.elements):
@@ -156,7 +159,14 @@ def validate_cut(family: CutFamily) -> CutVerdict:
                       f" {family.mode} {family.kind.label()} family")
         if reason is not None:
             return CutVerdict(MALFORMED, idx, reason)
-    removed = vertex_mask(family.n, (v for el in family.elements for v in el.verts))
+    union = family.vertex_union()
+    bits = [1 << i for i in range(family.n)]
+    # in element order, every built family's first vertex neighbors the zero vertex it encloses
+    for u in (v for el in family.elements for v in el.verts):
+        for w in (u ^ b for b in bits):
+            if w not in union and all(w ^ c in union for c in bits):
+                return CutVerdict(VALID_CUT)
+    removed = vertex_mask(family.n, union)
     return CutVerdict(VALID_CUT if is_disconnecting_mask(family.n, removed) else NOT_A_CUT)
 
 
@@ -187,15 +197,15 @@ def check_pair_neighbor_counts(
     return len(around & obstacle_set)
 
 
-def g_extra_connectivity(n: int, g: int, max_dimension: int = 4) -> int:
+def g_extra_connectivity(n: int, g: int) -> int:
     """Brute-force minimum removal that disconnects Q_n into components of size >= g + 1.
 
     Plain cardinality-ordered subset enumeration with early exit; only sane
     up to the exhaustive ceiling (C(16, 6) candidates at n = 4 are trivial,
     n = 5 would not be).
     """
-    if n > max_dimension:
-        raise ValueError(f"dimension {n} above exhaustive ceiling {max_dimension}")
+    if n > 4:
+        raise ValueError(f"dimension {n} above exhaustive ceiling 4")
     if not 0 <= g <= n:
         raise ValueError(f"g must be in [0, {n}], got {g}")
     size = 1 << n

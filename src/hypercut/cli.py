@@ -20,6 +20,7 @@ import os
 import random
 import sys
 import time
+from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -172,25 +173,20 @@ def render_dot(n: int, removed: frozenset[int]) -> str:
 def cmd_construct(args: argparse.Namespace) -> int:
     build = build_path_cut if args.kind == "path" else build_cycle_cut
     family = build(args.n, args.k)
-    # complement BFS over 2^n-bit masks is instant through n = 14 or so;
-    # past that only the per-element checks run
-    if args.n <= 14:
-        verdict_status = validate_cut(family).status
-    else:
-        verdict_status = "not-validated"
     if args.format == "dot":
         _emit(render_dot(args.n, family.vertex_union()), args.out)
         return EXIT_OK
+    verdict = validate_cut(family)
     payload = {
         "schema": SCHEMA,
         "command": "construct",
         "parameters": {"n": args.n, "kind": args.kind, "k": args.k},
         "family": _family_payload(family),
         "isolated_vertex": vertex_to_string(0, args.n),  # every built family isolates 00..0
-        "verdict": verdict_status,
+        "verdict": verdict.status,
     }
     _emit_json(payload, args.out)
-    return EXIT_MISMATCH if verdict_status in (analysis.NOT_A_CUT, analysis.MALFORMED) else EXIT_OK
+    return EXIT_OK if verdict.ok else EXIT_MISMATCH
 
 
 # --- verify ---
@@ -225,7 +221,7 @@ def _oracle_value_row(
     budget: SearchBudget, bound_only: bool = False,
 ) -> dict:
     result = min_structure_cut(n, kind, mode, budget)
-    if result.status != "exact":
+    if result.status != formulas.EXACT:
         return _row(scope, "oracle-vs-formula", "skipped",
                     f"search budget exhausted at size {result.value - 1}",
                     n=n, k=kind.size, mode=mode, expected=expected, actual=None)
@@ -239,76 +235,70 @@ def _oracle_value_row(
                 n=n, k=kind.size, mode=mode, expected=expected, actual=result.value)
 
 
-def _verify_paths(nmax: int, ceiling: int, jobs: int) -> list[dict]:
+def _oracle_rows(scope: str, cases: list[dict], ceiling: int, rows_at) -> list[dict]:
+    """rows_at(**case) for each case; a case whose n is above the ceiling gives one skipped row."""
     rows = []
-    for n in range(3, min(nmax, 4) + 1):
-        if n > ceiling:
-            rows.append(_row("paths", "oracle-vs-formula", "skipped",
-                             f"dimension {n} above oracle ceiling", n=n))
-            continue
-        for k in range(3, (1 << (n - 1)) + 1):
-            expected = formulas.kappa_path(n, k).value
-            for mode in ("structure", "substructure"):
-                rows.append(_oracle_value_row("paths", n, StructureKind.path(k), mode,
-                                              expected, SearchBudget()))
+    for case in cases:
+        if case["n"] > ceiling:
+            rows.append(_row(scope, "oracle-vs-formula", "skipped",
+                             f"dimension {case['n']} above oracle ceiling", **case))
+        else:
+            rows.extend(rows_at(**case))
+    return rows
+
+
+def _verify_paths(nmax: int, ceiling: int, jobs: int) -> list[dict]:
+    def rows_at(n: int) -> list[dict]:
+        return [_oracle_value_row("paths", n, StructureKind.path(k), mode,
+                                  formulas.kappa_path(n, k).value, SearchBudget())
+                for k in range(3, (1 << (n - 1)) + 1)
+                for mode in ("structure", "substructure")]
+
+    rows = _oracle_rows("paths", [{"n": n} for n in range(3, min(nmax, 4) + 1)], ceiling, rows_at)
     specs = [("path", n, k)
              for n in range(3, nmax + 1)
              for k in range(3, min(1 << (n - 1), 256) + 1)]
-    rows.extend(_map_rows(_construction_row, specs, jobs))
-    return rows
+    return rows + _map_rows(_construction_row, specs, jobs)
 
 
 def _verify_cycles(nmax: int, ceiling: int, jobs: int) -> list[dict]:
-    rows = []
-    for n in (3, 4):
-        if n > nmax:
-            continue
-        if n > ceiling:
-            rows.append(_row("cycles", "oracle-vs-formula", "skipped",
-                             f"dimension {n} above oracle ceiling", n=n))
-            continue
+    def rows_at(n: int) -> Iterator[dict]:
         for k in range(4, (1 << (n - 1)) + 1, 2):
             kind = StructureKind.cycle(k)
             sub = formulas.kappa_cycle(n, k, "substructure")
-            rows.append(_oracle_value_row("cycles", n, kind, "substructure", sub.value,
-                                          SearchBudget()))
+            yield _oracle_value_row("cycles", n, kind, "substructure", sub.value, SearchBudget())
             struct = formulas.kappa_cycle(n, k, "structure")
-            rows.append(_oracle_value_row("cycles", n, kind, "structure", struct.value,
-                                          SearchBudget(), bound_only=not struct.is_exact))
+            yield _oracle_value_row("cycles", n, kind, "structure", struct.value,
+                                    SearchBudget(), bound_only=not struct.is_exact)
+
+    rows = _oracle_rows("cycles", [{"n": n} for n in (3, 4) if n <= nmax], ceiling, rows_at)
     specs = [("cycle", n, k)
              for n in range(5, nmax + 1)
              for k in range(6, min(1 << (n - 2), 256) + 1, 2)]
-    rows.extend(_map_rows(_construction_row, specs, jobs))
-    return rows
+    return rows + _map_rows(_construction_row, specs, jobs)
 
 
-def _verify_power_of_two(nmax: int, ceiling: int) -> list[dict]:
-    rows = []
-    table = ((4, 2), (5, 2), (5, 3))
-    for n, m in table:
-        expected = formulas.kappa_power_of_two_cycle(n, m).value
-        if n > ceiling:
-            rows.append(_row("power-of-two", "oracle-vs-formula", "skipped",
-                             f"dimension {n} above oracle ceiling",
-                             n=n, m=m, expected=expected))
-            continue
+def _verify_power_of_two(nmax: int, ceiling: int, jobs: int) -> list[dict]:
+    def rows_at(n: int, m: int, expected: int) -> list[dict]:
         budget = SearchBudget(max_family_size=3, max_dimension=5)
-        rows.append(_oracle_value_row("power-of-two", n, StructureKind.cycle(1 << m),
-                                      "structure", expected, budget) | {"m": m})
+        return [_oracle_value_row("power-of-two", n, StructureKind.cycle(1 << m),
+                                  "structure", expected, budget) | {"m": m}]
+
+    cases = [{"n": n, "m": m, "expected": formulas.kappa_power_of_two_cycle(n, m).value}
+             for n, m in ((4, 2), (5, 2), (5, 3))]
+    rows = _oracle_rows("power-of-two", cases, ceiling, rows_at)
+    # kappa_power_of_two_cycle itself raises where the general cycle value disagrees
     for n in range(4, nmax + 1):
         for m in range(2, n - 1):
             value = formulas.kappa_power_of_two_cycle(n, m).value
-            general = formulas.kappa_cycle(n, 1 << m, "structure")
-            ok = (not general.is_exact) or general.value == value
-            if n >= 6 and m >= 3:
-                ok = ok and value < n - m
+            ok = n < 6 or m < 3 or value < n - m
             rows.append(_row("power-of-two", "formula-consistency",
                              "pass" if ok else "fail", "",
                              n=n, m=m, expected=value, actual=value))
     return rows
 
 
-def _verify_budengs(nmax: int) -> list[dict]:
+def _verify_budengs(nmax: int, ceiling: int, jobs: int) -> list[dict]:
     violations = formulas.verify_budengs_inequality(nmax)
     status = "pass" if not violations else "fail"
     return [_row("budengs", "inequality-sweep", status,
@@ -316,19 +306,15 @@ def _verify_budengs(nmax: int) -> list[dict]:
                  n=nmax, expected=0, actual=len(violations))]
 
 
-def _verify_g_extra(ceiling: int) -> list[dict]:
-    rows = []
-    n = 4
-    if n > ceiling:
-        return [_row("g-extra", "oracle-vs-formula", "skipped",
-                     f"dimension {n} above oracle ceiling", n=n)]
-    for g in range(0, n + 1):
-        expected = formulas.kappa_g_extra_formula(n, g)
-        actual = analysis.g_extra_connectivity(n, g)
-        rows.append(_row("g-extra", "oracle-vs-formula",
-                         "pass" if actual == expected else "fail", "",
-                         n=n, g=g, expected=expected, actual=actual))
-    return rows
+def _verify_g_extra(nmax: int, ceiling: int, jobs: int) -> list[dict]:
+    def rows_at(n: int) -> Iterator[dict]:
+        for g in range(0, n + 1):
+            expected = formulas.kappa_g_extra_formula(n, g)
+            actual = analysis.g_extra_connectivity(n, g)
+            yield _row("g-extra", "oracle-vs-formula", "pass" if actual == expected else "fail", "",
+                       n=n, g=g, expected=expected, actual=actual)
+
+    return _oracle_rows("g-extra", [{"n": 4}], ceiling, rows_at)
 
 
 def _map_rows(worker, specs: list, jobs: int) -> list[dict]:
@@ -338,22 +324,25 @@ def _map_rows(worker, specs: list, jobs: int) -> list[dict]:
         return list(pool.map(worker, specs))
 
 
+# verify scope -> (row builder taking (nmax, ceiling, jobs), default --nmax);
+# "all" runs them in this order, and g-extra checks n = 4 whatever --nmax says
+_SCOPES = {
+    "paths": (_verify_paths, 6),
+    "cycles": (_verify_cycles, 6),
+    "power-of-two": (_verify_power_of_two, 20),
+    "budengs": (_verify_budengs, 64),
+    "g-extra": (_verify_g_extra, None),
+}
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     ceiling = _oracle_ceiling()
-    scopes = ["paths", "cycles", "power-of-two", "budengs", "g-extra"] if args.scope == "all" else [args.scope]
+    scopes = list(_SCOPES) if args.scope == "all" else [args.scope]
     start = time.perf_counter()
     report = RunReport("verify", {"scope": args.scope, "nmax": args.nmax, "jobs": args.jobs})
     for scope in scopes:
-        if scope == "paths":
-            report.rows.extend(_verify_paths(args.nmax or 6, ceiling, args.jobs))
-        elif scope == "cycles":
-            report.rows.extend(_verify_cycles(args.nmax or 6, ceiling, args.jobs))
-        elif scope == "power-of-two":
-            report.rows.extend(_verify_power_of_two(args.nmax or 20, ceiling))
-        elif scope == "budengs":
-            report.rows.extend(_verify_budengs(args.nmax or 64))
-        elif scope == "g-extra":
-            report.rows.extend(_verify_g_extra(ceiling))
+        build_rows, default_nmax = _SCOPES[scope]
+        report.rows.extend(build_rows(args.nmax or default_nmax, ceiling, args.jobs))
     report.elapsed_s = time.perf_counter() - start
     _emit_report(report, args.format, args.out)
     return EXIT_OK if report.passed else EXIT_MISMATCH
@@ -391,7 +380,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         "orbit_statistics": dict(result.stats),
     }
     _emit_json(payload, args.out)
-    if result.status == "lower-bound":
+    if result.status == formulas.LOWER_BOUND:
         print(f"no cut of size <= {result.value - 1}; minimum is at least {result.value}",
               file=sys.stderr)
     return EXIT_OK
@@ -454,8 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_construct)
 
     p = sub.add_parser("verify", help="compare formulas against brute force and constructions")
-    p.add_argument("--scope", choices=["paths", "cycles", "power-of-two", "budengs", "g-extra", "all"],
-                   default="all")
+    p.add_argument("--scope", choices=[*_SCOPES, "all"], default="all")
     p.add_argument("--nmax", type=int, default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--jobs", type=int, default=1)

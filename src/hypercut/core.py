@@ -48,10 +48,6 @@ class Cube:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
 
     @property
-    def vertex_count(self) -> int:
-        return 1 << self.n
-
-    @property
     def edge_count(self) -> int:
         return self.n << (self.n - 1)
 

@@ -101,10 +101,15 @@ ADMISSIBLE = {
 }
 
 
-def admissible_shapes(kind: StructureKind, mode: str) -> tuple[tuple[str, int], ...]:
-    """The (shape, size) pairs an element of a (kind, mode) family may have."""
+def check_mode(mode: str) -> None:
+    """Reject any mode other than structure and substructure."""
     if mode not in (STRUCTURE, SUBSTRUCTURE):
         raise ValueError(f"mode must be structure or substructure, got {mode!r}")
+
+
+def admissible_shapes(kind: StructureKind, mode: str) -> tuple[tuple[str, int], ...]:
+    """The (shape, size) pairs an element of a (kind, mode) family may have."""
+    check_mode(mode)
     return tuple(ADMISSIBLE[kind.name, mode](kind.size))
 
 
@@ -122,8 +127,7 @@ class CutFamily:
     elements: tuple[CutElement, ...]
 
     def __post_init__(self) -> None:
-        if self.mode not in (STRUCTURE, SUBSTRUCTURE):
-            raise ValueError(f"mode must be structure or substructure, got {self.mode!r}")
+        check_mode(self.mode)
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
 

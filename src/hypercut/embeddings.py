@@ -70,10 +70,6 @@ class CubePath(_Embedded):
             return "path has no vertices"
         return self._violation(zip(self.verts, islice(self.verts, 1, None)))
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self.verts)
-
 
 @dataclass(frozen=True)
 class CubeCycle(_Embedded):
@@ -93,10 +89,6 @@ class CubeCycle(_Embedded):
             return "odd cycle cannot embed in a bipartite graph"
         # consecutive pairs and the closing pair, without copying a long tuple
         return self._violation(zip(self.verts, chain(islice(self.verts, 1, None), self.verts[:1])))
-
-    @property
-    def length(self) -> int:
-        return len(self.verts)
 
     def has_edge(self, a: int, b: int) -> bool:
         """True iff {a, b} is one of the cycle's edges (including the closing one)."""

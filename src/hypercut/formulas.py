@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cuts import StructureKind
+from .cuts import StructureKind, check_mode
 
 
 class NotCoveredError(ValueError):
@@ -56,7 +56,7 @@ def kappa_path(n: int, k: int, mode: str = "structure") -> KappaValue:
     Structure and substructure agree over the whole proved range
     n >= 3, 3 <= k <= 2^(n-1).
     """
-    _check_mode(mode)
+    check_mode(mode)
     if n < 3:
         raise NotCoveredError(f"path values need n >= 3, got {n}")
     if not 3 <= k <= 1 << (n - 1):
@@ -73,7 +73,7 @@ def kappa_cycle(n: int, k: int, mode: str = "structure") -> KappaValue:
     exactly ceil(2n/k), and even lengths past 2^(n-2) only have the lower
     bound ceil(2n/k).
     """
-    _check_mode(mode)
+    check_mode(mode)
     if n < 3:
         raise NotCoveredError(f"cycle values need n >= 3, got {n}")
     if mode == "substructure":
@@ -129,7 +129,7 @@ _BASELINE = {
 
 def kappa_baseline(n: int, kind: StructureKind, mode: str = "structure") -> KappaValue:
     """Baseline values for the single vertex, edge, small stars and the 4-cycle (n >= 4)."""
-    _check_mode(mode)
+    check_mode(mode)
     if n < 4:
         raise NotCoveredError(f"baseline values need n >= 4, got {n}")
     entry = _BASELINE.get((kind.name, kind.size))
@@ -178,8 +178,3 @@ def verify_budengs_inequality(n_max: int) -> list[tuple[int, int]]:
             if _ceil_div(n, 1 << (m - 1)) >= n - m:
                 violations.append((n, m))
     return violations
-
-
-def _check_mode(mode: str) -> None:
-    if mode not in ("structure", "substructure"):
-        raise ValueError(f"mode must be structure or substructure, got {mode!r}")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Mapping
 
@@ -24,6 +24,7 @@ from .analysis import is_disconnecting_mask, neighborhood_vertex_mask, vertex_ma
 from .core import adjacent, automorphism_vertex_tables
 from .cuts import CutElement, CutFamily, StructureKind, STRUCTURE, admissible_shapes
 from .embeddings import CubeCycle, CubePath, CubeStar, canonical_cycle_orientation
+from .formulas import EXACT, LOWER_BOUND
 
 
 class BudgetError(RuntimeError):
@@ -34,23 +35,16 @@ class BudgetError(RuntimeError):
 class SearchBudget:
     """Limits keeping the exhaustive search at desk scale.
 
-    A search whose copy pool is larger than element_cap is refused: a
-    truncated pool supports no minimality claim.
+    A search refuses any n above max_dimension, and every n >= 6; at n = 5
+    only a few kinds and family sizes up to 3 are sanctioned.
     """
 
     max_family_size: int = 4
     max_dimension: int = 4
-    element_cap: int | None = None
 
     def __post_init__(self) -> None:
         if self.max_family_size < 1:
             raise ValueError("max_family_size must be >= 1")
-        if self.element_cap is not None and self.element_cap < 1:
-            raise ValueError("element_cap must be positive")
-
-
-EXACT = "exact"
-LOWER_BOUND = "lower-bound"
 
 _COMBINATION_CEILING = 20_000_000
 
@@ -62,14 +56,17 @@ class OracleResult:
     status "exact": value is the minimum and witness attains it.
     status "lower-bound": every family of size < value was exhausted
     without finding a cut; the minimum (if any) is at least value.
-    exhaustive is True exactly when the minimum was pinned down.
     """
 
     value: int
     status: str
     witness: CutFamily | None
-    exhaustive: bool
     stats: Mapping[str, int] = field(default_factory=dict)
+
+    @property
+    def exhaustive(self) -> bool:
+        """True exactly when the minimum was pinned down."""
+        return self.status == EXACT
 
 
 _SHAPE_ORDER = {"path": 0, "cycle": 1, "star": 2}
@@ -195,17 +192,11 @@ def _orbit_partition(pool: list[CutElement], n: int) -> tuple[list[int], list[in
     return orbit_of, reps
 
 
-def _check_budget(n: int, kind: StructureKind, budget: SearchBudget, need_size: int) -> None:
-    if n <= 4:
-        if n > budget.max_dimension:
-            raise BudgetError(f"dimension {n} above budget ceiling {budget.max_dimension}")
-        return
+def _check_budget(n: int, kind: StructureKind, budget: SearchBudget) -> None:
+    limit = min(budget.max_dimension, 5)  # exhaustive search is out of reach from n = 6
+    if n > limit:
+        raise BudgetError(f"dimension {n} above the search limit {limit}")
     if n == 5:
-        if budget.max_dimension < 5:
-            raise BudgetError(
-                f"dimension 5 above budget ceiling {budget.max_dimension};"
-                " pass SearchBudget(max_family_size=3, max_dimension=5) to opt in"
-            )
         allowed = (kind.name == "cycle" and kind.size in (4, 8)) or (
             kind.name == "path" and kind.size <= 4
         )
@@ -213,10 +204,8 @@ def _check_budget(n: int, kind: StructureKind, budget: SearchBudget, need_size: 
             raise BudgetError(
                 "dimension 5 searches are limited to cycle(4), cycle(8) and path(k <= 4)"
             )
-        if need_size > 3:
+        if budget.max_family_size > 3:
             raise BudgetError("dimension 5 searches are limited to family sizes up to 3")
-        return
-    raise BudgetError(f"dimension {n} is beyond exhaustive oracle scale")
 
 
 def _cut_test(n: int, mask: int, memo: dict[int, bool], stats: dict[str, int]) -> bool:
@@ -323,14 +312,9 @@ def _level_search(
 
 
 def _prepare(
-    n: int, kind: StructureKind, mode: str, budget: SearchBudget
+    n: int, kind: StructureKind, mode: str
 ) -> tuple[list[CutElement], list[int], list[int], list[int], dict[str, int]]:
     pool = enumerate_copies(n, kind, mode)
-    if budget.element_cap is not None and len(pool) > budget.element_cap:
-        raise BudgetError(
-            f"enumeration produced {len(pool)} copies, over the element cap {budget.element_cap};"
-            " a truncated pool supports no minimality claim"
-        )
     if not pool:
         raise ValueError(f"no embedded copies of {kind.label()} exist in Q_{n}")
     masks = []
@@ -362,28 +346,11 @@ def min_structure_cut(
     a wrong exact value.
     """
     budget = budget or SearchBudget()
-    _check_budget(n, kind, budget, budget.max_family_size)
-    pool, masks, orbit_of, reps, stats = _prepare(n, kind, mode, budget)
+    _check_budget(n, kind, budget)
+    pool, masks, orbit_of, reps, stats = _prepare(n, kind, mode)
     for s in range(1, budget.max_family_size + 1):
         hit = _level_search(n, len(pool), masks, orbit_of, reps, s, stats)
         if hit is not None:
             witness = CutFamily(n, kind, mode, tuple(pool[i] for i in hit))
-            return OracleResult(s, EXACT, witness, exhaustive=True, stats=stats)
-    return OracleResult(
-        budget.max_family_size + 1, LOWER_BOUND, None, exhaustive=False, stats=stats
-    )
-
-
-def verify_no_smaller_cut(
-    n: int,
-    kind: StructureKind,
-    mode: str,
-    s: int,
-    budget: SearchBudget | None = None,
-) -> bool:
-    """True iff no family of size < s disconnects or trivializes Q_n (exhaustive)."""
-    budget = budget or SearchBudget()
-    _check_budget(n, kind, budget, s - 1)
-    if s <= 1:
-        return True
-    return min_structure_cut(n, kind, mode, replace(budget, max_family_size=s - 1)).status == LOWER_BOUND
+            return OracleResult(s, EXACT, witness, stats=stats)
+    return OracleResult(budget.max_family_size + 1, LOWER_BOUND, None, stats=stats)

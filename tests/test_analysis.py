@@ -10,14 +10,16 @@ from hypercut.analysis import (
     check_pair_neighbor_counts,
     components_after_removal,
     g_extra_connectivity,
+    is_disconnecting_mask,
     path_neighbor_bound,
     run_cycle_bound_trials,
     run_path_bound_trials,
     scan_distance2_common_neighbors,
     validate_cut,
+    vertex_mask,
 )
 from hypercut.core import Cube
-from hypercut.cuts import CubeStar, CutFamily, StructureKind, build_path_cut
+from hypercut.cuts import CubeStar, CutFamily, StructureKind, build_cycle_cut, build_path_cut
 from hypercut.embeddings import CubeCycle, CubePath
 
 
@@ -130,6 +132,52 @@ def test_validate_star_contracts():
     assert validate_cut(fam).status == MALFORMED  # too many leaves
     fam = CutFamily(4, StructureKind.star(3), "substructure", (CubeStar(4, 0, (1, 2)),))
     assert validate_cut(fam).status == NOT_A_CUT
+
+
+def _bfs_verdict(family):
+    """The verdict of the complement BFS alone, on the union's 2^n-bit mask."""
+    removed = vertex_mask(family.n, family.vertex_union())
+    return VALID_CUT if is_disconnecting_mask(family.n, removed) else NOT_A_CUT
+
+
+def test_validate_agrees_with_bfs_on_constructions():
+    # the families that `verify` builds: paths at n = 3..11, cycles at n = 5..11, k <= 256
+    families = [build_path_cut(n, k)
+                for n in range(3, 12) for k in range(3, min(1 << (n - 1), 256) + 1)]
+    families += [build_cycle_cut(n, k)
+                 for n in range(5, 12) for k in range(6, min(1 << (n - 2), 256) + 1, 2)]
+    assert len(families) == 1368
+    for family in families:
+        assert validate_cut(family).status == _bfs_verdict(family) == VALID_CUT, (
+            family.n, family.kind)
+
+
+def _vertex_family(n, verts):
+    elements = tuple(CubePath(n, (v,)) for v in verts)
+    return CutFamily(n, StructureKind.vertex(), "structure", elements)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 6), st.data())
+def test_validate_agrees_with_bfs_on_vertex_families(n, data):
+    size = 1 << n
+    drawn = data.draw(st.sets(st.integers(0, size - 1), max_size=size))
+    # also draw near-complete unions, whose complement is trivial (one vertex or none)
+    if data.draw(st.booleans()):
+        drawn = set(range(size)) - set(list(drawn)[:1])
+    family = _vertex_family(n, sorted(drawn))
+    assert validate_cut(family).status == _bfs_verdict(family)
+
+
+def test_validate_cuts_and_non_cuts_at_the_edges():
+    assert validate_cut(_vertex_family(3, range(8))).status == VALID_CUT  # nothing left
+    assert validate_cut(_vertex_family(3, range(1, 8))).status == VALID_CUT  # one vertex left
+    assert validate_cut(_vertex_family(3, ())).status == NOT_A_CUT
+    # without two antipodal vertices, Q_3 is a connected 6-cycle and no vertex is enclosed
+    assert validate_cut(_vertex_family(3, (0, 7))).status == NOT_A_CUT
+    # a removed vertex with all its neighbors removed encloses nothing: Q_3 minus
+    # the ball around 000 is the connected claw around 111
+    assert validate_cut(_vertex_family(3, (0, 1, 2, 4))).status == NOT_A_CUT
 
 
 def test_validate_dimension_mismatch():

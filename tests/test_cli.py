@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from hypercut.cli import main, render_dot
 
 
@@ -19,6 +21,15 @@ def test_construct_fig4_family(capsys):
     assert payload["verdict"] == "valid-cut"
     assert payload["isolated_vertex"] == "00000"
     assert payload["family"]["elements"][0]["vertices"] == ["10000", "11000", "01000"]
+
+
+def test_construct_validates_past_dimension_14(capsys):
+    # the union encloses 00..0, so the verdict needs no 2^n-bit complement
+    for argv in (("--n", "16", "--kind", "path", "--k", "5"),
+                 ("--n", "40", "--kind", "cycle", "--k", "10")):
+        code, out, _ = run(capsys, "construct", *argv)
+        assert code == 0
+        assert json.loads(out)["verdict"] == "valid-cut"
 
 
 def test_construct_cycle_family(capsys):
@@ -196,9 +207,28 @@ def test_render_dot_components_colored():
     assert len(colors) == 2
 
 
-def test_verify_all_stdout_is_byte_stable(capsys):
-    # the sha256 recorded for this command in perfbench/workloads.py
-    code, out, _ = run(capsys, "verify", "--scope", "all", "--jobs", "1")
+# (HYPERCUT_MAX_DIM, arguments, sha256 of stdout); the unset-env digest is the
+# one recorded for this command in perfbench/workloads.py, and the lowered
+# ceilings pin the skipped rows of dimensions above the oracle ceiling
+_PINNED_STDOUT = {
+    "unset": (None, ("verify", "--scope", "all", "--jobs", "1"),
+              "646e4b8e7577b7f52d7fbdba0bbf9e41e408d0e5b36fb0afb91506dfd24face3"),
+    "max-dim-3": ("3", ("verify", "--scope", "all", "--jobs", "1"),
+                  "3a2f8066df2d2a1d8bb0d2ecf6a7ae9372c27ff86fd14c0e68c9fe244bc2b245"),
+    "max-dim-4": ("4", ("verify", "--scope", "all", "--jobs", "1"),
+                  "34a4335c746bf62258c60f49b95c1092b75cbca3f344f55e3e4e27972880a863"),
+    "cycles-csv": (None, ("verify", "--scope", "cycles", "--format", "csv", "--jobs", "1"),
+                   "883b5296cad3b512a2a3156a209985ac50129f3d385a9eb636910e17ec3688c4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PINNED_STDOUT))
+def test_verify_all_stdout_is_byte_stable(capsys, monkeypatch, case):
+    max_dim, argv, expected = _PINNED_STDOUT[case]
+    if max_dim is None:
+        monkeypatch.delenv("HYPERCUT_MAX_DIM", raising=False)
+    else:
+        monkeypatch.setenv("HYPERCUT_MAX_DIM", max_dim)
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    digest = hashlib.sha256(out.encode()).hexdigest()
-    assert digest == "646e4b8e7577b7f52d7fbdba0bbf9e41e408d0e5b36fb0afb91506dfd24face3"
+    assert hashlib.sha256(out.encode()).hexdigest() == expected

@@ -76,7 +76,7 @@ def test_path_cut_cardinality_and_shape():
             assert len(family) == kappa_path(n, k).value, (n, k)
             for el in family.elements:
                 assert el.violation() is None
-                assert el.vertex_count == k
+                assert el.size == k
             union = family.vertex_union()
             assert nbrs <= union and 0 not in union, (n, k)
             assert validate_cut(family).ok, (n, k)
@@ -141,7 +141,7 @@ def test_cycle_cut_cardinality_and_shape():
             assert len(family) == -(-2 * n // k), (n, k)
             for el in family.elements:
                 assert el.violation() is None
-                assert el.length == k
+                assert el.size == k
             union = family.vertex_union()
             assert nbrs <= union and 0 not in union, (n, k)
             assert validate_cut(family).ok, (n, k)
@@ -174,7 +174,7 @@ def test_overlapping_windows_still_exact_paths():
     family = build_path_cut(5, 3)
     assert family.elements[1].vertex_set() & family.elements[2].vertex_set()
     for el in family.elements:
-        assert el.vertex_count == 3
+        assert el.size == 3
 
 
 def test_cut_family_mode_validation():

@@ -9,7 +9,6 @@ from hypercut.oracle import (
     SearchBudget,
     enumerate_copies,
     min_structure_cut,
-    verify_no_smaller_cut,
 )
 
 
@@ -158,10 +157,14 @@ def test_pruned_matches_unpruned_q4_small_pools():
 
 
 def test_verify_no_smaller_cut():
-    assert verify_no_smaller_cut(4, StructureKind.path(6), "structure", 2)
-    assert verify_no_smaller_cut(3, StructureKind.path(4), "structure", 2)
-    assert verify_no_smaller_cut(3, StructureKind.cycle(4), "structure", 1)
-    assert not verify_no_smaller_cut(3, StructureKind.path(3), "structure", 3)
+    # no cut of size < s exists exactly when a search capped at s - 1 ends in a lower bound
+    def no_smaller_cut(n, kind, s):
+        budget = SearchBudget(max_family_size=s - 1)
+        return min_structure_cut(n, kind, "structure", budget).status == "lower-bound"
+
+    assert no_smaller_cut(4, StructureKind.path(6), 2)
+    assert no_smaller_cut(3, StructureKind.path(4), 2)
+    assert not no_smaller_cut(3, StructureKind.path(3), 3)
 
 
 def test_lower_bound_on_budget_exhaustion():
@@ -170,11 +173,6 @@ def test_lower_bound_on_budget_exhaustion():
     assert result.value == 2
     assert result.witness is None
     assert not result.exhaustive
-
-
-def test_element_cap_truncation_refused():
-    with pytest.raises(BudgetError):
-        min_structure_cut(3, StructureKind.path(4), budget=SearchBudget(element_cap=5))
 
 
 def test_dimension_gates():
@@ -189,6 +187,8 @@ def test_dimension_gates():
         min_structure_cut(5, StructureKind.cycle(8), "structure", SearchBudget(4, 5))
     with pytest.raises(BudgetError):
         min_structure_cut(6, StructureKind.path(3), budget=SearchBudget(max_dimension=5))
+    with pytest.raises(BudgetError):  # n >= 6 is refused whatever max_dimension says
+        min_structure_cut(6, StructureKind.path(3), budget=SearchBudget(3, 6))
 
 
 def test_orbit_statistics_reported():

@@ -1,0 +1,26 @@
+"""The benchmark's tracer wraps hypercut functions by the name their callers
+look up.  It resolves those names only when a traced run installs it, so a
+cleanup that drops an import breaks ``perfbench/run.py --trace 1`` with an
+AttributeError.  This guard reads the names from ``perfbench/tracing.py``."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_name_resolves_to_a_callable():
+    tracing = _load_tracing()
+    names = [(module, attr) for module, attr, _ in tracing.WRAPPED] + [tracing.BFS]
+    assert len(names) > 1
+    for module_name, attr in names:
+        module = importlib.import_module(module_name)
+        assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
