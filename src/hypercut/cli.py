@@ -37,6 +37,12 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
+# The largest k construct builds: families cost O(k) vertices at any n, and
+# at the cap a path cut at n = 21 writes about 37 MB of JSON.
+MAX_CONSTRUCT_K = 1 << 20
+# The largest n drawn as DOT: render_dot writes all 2^n vertices and n * 2^(n-1) edges.
+MAX_DOT_DIM = 8
+
 _PALETTE = (
     "#66c2a5", "#fc8d62", "#8da0cb", "#e78ac3",
     "#a6d854", "#ffd92f", "#e5c494", "#b3b3b3",
@@ -170,7 +176,16 @@ def render_dot(n: int, removed: frozenset[int]) -> str:
 # --- construct ---
 
 
+def _check_dot_dim(n: int) -> None:
+    if n > MAX_DOT_DIM:
+        raise ValueError(f"DOT export is readable up to n = {MAX_DOT_DIM}, got {n}")
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
+    if args.k > MAX_CONSTRUCT_K:
+        raise ValueError(f"k = {args.k} exceeds the construct cap MAX_CONSTRUCT_K = {MAX_CONSTRUCT_K}")
+    if args.format == "dot":
+        _check_dot_dim(args.n)
     build = build_path_cut if args.kind == "path" else build_cycle_cut
     family = build(args.n, args.k)
     if args.format == "dot":
@@ -390,8 +405,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    if args.n > 8:
-        raise ValueError(f"DOT export is readable up to n = 8, got {args.n}")
+    _check_dot_dim(args.n)
     removed: set[int] = set()
     if args.remove:
         cube = Cube(args.n)

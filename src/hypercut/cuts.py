@@ -17,11 +17,11 @@ from .embeddings import (
     CubeCycle,
     CubePath,
     CubeStar,
-    hamiltonian_through_edge,
+    gray_walk_from_edge,
+    hamiltonian_through_edge,  # re-exported: perfbench/tracing.py wraps cuts.hamiltonian_through_edge
     odd_path_between_adjacent,
     require_valid,
     restrict_to_subcube,
-    rotate_cycle_to_edge,
 )
 
 
@@ -177,18 +177,14 @@ def _extended_path(n: int, k: int) -> CubePath:
     The spine already ends with the edge (e_{n-2}|e_{n-1}, e_{n-1}), whose
     endpoints lie in the subcube x^{n-1} = 1.  A Hamiltonian cycle of that
     subcube through this edge supplies the k - (2n - 1) extension vertices,
-    taken in the direction leading away from e_{n-2}|e_{n-1}.
+    taken in the direction leading away from e_{n-2}|e_{n-1}; only those
+    vertices and the edge are walked.
     """
     verts = _spine(0, n)
     extension = k - (2 * n - 1)
     if extension:
-        inner = hamiltonian_through_edge(n - 1, (1 << (n - 2), 0))
-        lifted = restrict_to_subcube({n - 1: 1}, inner)
-        assert isinstance(lifted, CubeCycle)
-        anchor_a = (1 << (n - 2)) | (1 << (n - 1))
-        anchor_b = 1 << (n - 1)
-        rotated = rotate_cycle_to_edge(lifted, anchor_a, anchor_b)
-        verts.extend(rotated[2 : 2 + extension])
+        inner = CubePath(n - 1, tuple(gray_walk_from_edge(n - 1, (1 << (n - 2), 0), extension + 2)))
+        verts.extend(restrict_to_subcube({n - 1: 1}, inner).verts[2:])
     path = CubePath(n, tuple(verts))
     require_valid(path)
     return path

@@ -7,10 +7,15 @@ length fold the first l/2 Gray codewords of Q_{n-1} across the last
 coordinate, and odd paths between adjacent vertices are such a cycle minus
 one edge.  Returned cycles are canonicalized: smallest vertex first, then
 its smaller cycle neighbor.
+
+Builders emit only the vertices they return: Gray codewords are indexed
+(g(m) = m ^ (m >> 1)) and an automorphism is carried along a walk one XOR
+per step, so a k-vertex element costs O(k) big-int operations at any n.
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from itertools import chain, islice
@@ -36,15 +41,20 @@ class _Embedded:
     verts: tuple[int, ...]
 
     def _violation(self, edges) -> str | None:
-        """The shared checks: labels in range, distinct, and every given pair adjacent."""
-        size = 1 << self.n
-        for v in self.verts:
-            if not 0 <= v < size:
+        """The shared checks: labels in range, distinct, and every given pair adjacent.
+
+        Range and distinctness are read off the sorted labels: a sorted list
+        takes 8 bytes a label, a set of them 32 to 48 while it grows, and the
+        long elements of a cut at n = 18 have over 10^5 labels.
+        """
+        ordered = sorted(self.verts)
+        for v in ordered[:1] + ordered[-1:]:
+            if not 0 <= v < 1 << self.n:
                 return f"label {v} out of range for dimension {self.n}"
-        if len(set(self.verts)) != len(self.verts):
+        if not all(map(operator.lt, ordered, islice(ordered, 1, None))):
             return "vertices are not distinct"
         for a, b in edges:
-            if not adjacent(a, b):
+            if (a ^ b).bit_count() != 1:
                 return f"vertices {a} and {b} are not adjacent"
         return None
 
@@ -164,16 +174,37 @@ def gray_hamiltonian(n: int) -> CubeCycle:
     return cycle
 
 
+def gray_walk_from_edge(n: int, edge: tuple[int, int], count: int) -> list[int]:
+    """The first count vertices of the Gray cycle of Q_n carried onto edge.
+
+    The Gray cycle starts with the edge (0, 1), and an edge-mapping
+    automorphism sigma carries it onto edge, so the walk starts
+    edge[0], edge[1].  Gray codeword m differs from codeword m - 1 in the
+    lowest set bit of m, and sigma(v ^ e_i) = sigma(v) ^ e_perm[i], so each
+    step is one XOR.
+    """
+    sigma = edge_mapping_automorphism(n, (0, 1), edge)
+    if not 0 <= count <= 1 << n:
+        raise ValueError(f"walk of {count} vertices does not fit in Q_{n}")
+    steps = [1 << p for p in sigma.perm]
+    w = sigma.mask
+    walk = [w] if count else []
+    for m in range(1, count):
+        w ^= steps[(m & -m).bit_length() - 1]
+        walk.append(w)
+    return walk
+
+
 def hamiltonian_through_edge(n: int, edge: tuple[int, int]) -> CubeCycle:
     """A Hamiltonian cycle of Q_n containing the given edge.
 
     The Gray cycle contains the edge (0, 1); an edge-mapping automorphism
     carries it onto the target, so no search is ever needed.
     """
-    sigma = edge_mapping_automorphism(n, (0, 1), edge)
-    base = gray_hamiltonian(n)
-    mapped = tuple(sigma.apply(v) for v in base.verts)
-    cycle = CubeCycle(n, canonical_cycle_orientation(mapped))
+    if n < 2:
+        raise ValueError(f"Hamiltonian cycles need n >= 2, got {n}")
+    walk = gray_walk_from_edge(n, edge, 1 << n)
+    cycle = CubeCycle(n, canonical_cycle_orientation(tuple(walk)))
     require_valid(cycle)
     return cycle
 
@@ -195,7 +226,7 @@ def embed_even_cycle(n: int, l: int) -> CubeCycle:
         raise ValueError(f"cycle length must be at least 4, got {l}")
     if l > 1 << n:
         raise ValueError(f"cycle length {l} exceeds 2^{n} vertices")
-    half = gray_sequence(n - 1)[: l // 2]
+    half = [m ^ (m >> 1) for m in range(l // 2)]
     top = 1 << (n - 1)
     verts = tuple(half) + tuple(g | top for g in reversed(half))
     cycle = CubeCycle(n, canonical_cycle_orientation(verts))
@@ -221,7 +252,7 @@ def odd_path_between_adjacent(n: int, u: int, v: int, q: int) -> CubePath:
         return CubePath(n, (u, v))
     base = embed_even_cycle(n, q + 1)
     sigma = edge_mapping_automorphism(n, (base.verts[0], base.verts[1]), (u, v))
-    mapped = CubeCycle(n, tuple(sigma.apply(w) for w in base.verts))
+    mapped = CubeCycle(n, tuple(sigma.apply_walk(base.verts)))
     rotated = rotate_cycle_to_edge(mapped, u, v)
     # walk the cycle the long way round: u, then back from the far end to v
     path = CubePath(n, (u,) + tuple(reversed(rotated[1:])))
@@ -237,7 +268,9 @@ def restrict_to_subcube(
     fixed_coords pins ambient coordinates to constant bits; inner's
     coordinate j maps to the j-th free ambient coordinate in increasing
     order.  The relabeling is injective and adjacency-preserving, so the
-    result is the same kind of object one dimension class up.
+    result is the same kind of object one dimension class up.  When every
+    fixed coordinate is at or above inner.n, the free coordinates are
+    0 .. inner.n - 1 and the lift is one OR.
     """
     ambient_n = inner.n + len(fixed_coords)
     for coord, bit in fixed_coords.items():
@@ -255,7 +288,10 @@ def restrict_to_subcube(
                 w |= 1 << coord
         return w
 
-    verts = tuple(lift(v) for v in inner.verts)
+    if all(coord >= inner.n for coord in fixed_coords):
+        verts = tuple(base | v for v in inner.verts)
+    else:
+        verts = tuple(lift(v) for v in inner.verts)
     lifted = type(inner)(ambient_n, verts)
     require_valid(lifted)
     return lifted

@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from hypercut.cli import main, render_dot
+from hypercut import cli
+from hypercut.cli import MAX_CONSTRUCT_K, main, render_dot
 
 
 def run(capsys, *argv):
@@ -30,6 +31,64 @@ def test_construct_validates_past_dimension_14(capsys):
         code, out, _ = run(capsys, "construct", *argv)
         assert code == 0
         assert json.loads(out)["verdict"] == "valid-cut"
+
+
+def test_construct_long_path_at_dimension_64(capsys):
+    code, out, _ = run(capsys, "construct", "--n", "64", "--kind", "path", "--k", "129")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verdict"] == "valid-cut"
+    (element,) = payload["family"]["elements"]
+    assert len(element["vertices"]) == 129
+
+
+def _no_build(*args):
+    raise AssertionError("the family was built before the request was refused")
+
+
+def test_construct_refuses_k_above_cap_before_building(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_path_cut", _no_build)
+    k = 1 << 40
+    code, _, err = run(capsys, "construct", "--n", "64", "--kind", "path", "--k", str(k))
+    assert code == 2
+    assert str(k) in err and str(MAX_CONSTRUCT_K) in err
+
+
+def test_construct_cap_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "MAX_CONSTRUCT_K", 16)
+    assert run(capsys, "construct", "--n", "6", "--kind", "path", "--k", "16")[0] == 0
+    assert run(capsys, "construct", "--n", "6", "--kind", "path", "--k", "17")[0] == 2
+
+
+def test_construct_dot_refuses_large_n_before_building(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_path_cut", _no_build)
+    code, _, err = run(capsys, "construct", "--n", "9", "--kind", "path", "--k", "5",
+                       "--format", "dot")
+    assert code == 2
+    assert "n = 8" in err
+    monkeypatch.undo()
+    code, out, _ = run(capsys, "construct", "--n", "8", "--kind", "path", "--k", "5",
+                       "--format", "dot")
+    assert code == 0
+    assert out.startswith("graph Q8 {")
+
+
+# n = 5..12: paths k in {3, 2n-2, 2n-1, 2n, 2^(n-1)}, cycles k in {6, 2n, 2n+2, 2^(n-2)}
+# with 6 <= k <= 2^(n-2); recorded before construction walked the Gray code by index
+_CONSTRUCT_LADDER_SHA256 = "9c5daf62da00356e1a7db0f598058341e9cbe289479e845382bc8bba0996371a"
+
+
+def test_construct_ladder_stdout_is_byte_stable(capsys):
+    outs = []
+    for n in range(5, 13):
+        specs = [("path", k) for k in (3, 2 * n - 2, 2 * n - 1, 2 * n, 1 << (n - 1))]
+        specs += [("cycle", k) for k in (6, 2 * n, 2 * n + 2, 1 << (n - 2)) if 6 <= k <= 1 << (n - 2)]
+        for kind, k in specs:
+            code, out, _ = run(capsys, "construct", "--n", str(n), "--kind", kind, "--k", str(k))
+            assert code == 0
+            outs.append(out)
+    assert len(outs) == 70
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == _CONSTRUCT_LADDER_SHA256
 
 
 def test_construct_cycle_family(capsys):

@@ -150,6 +150,34 @@ def test_sampled_automorphisms_map_every_edge_to_an_edge():
                 assert adjacent(table[u], table[v])
 
 
+def _permute_bits(n, perm, mask, v):
+    """sigma(v) written bit by bit from the definition: coordinate i goes to perm[i]."""
+    return sum(((v >> i) & 1) << perm[i] for i in range(n)) ^ mask
+
+
+@given(st.integers(1, 9), st.data())
+def test_apply_walk_matches_per_vertex_apply(n, data):
+    perm = tuple(data.draw(st.permutations(range(n))))
+    sigma = Automorphism(n, perm, data.draw(st.integers(0, (1 << n) - 1)))
+    v = data.draw(st.integers(0, (1 << n) - 1))
+    walk = [v]
+    for i in data.draw(st.lists(st.integers(0, n - 1), max_size=40)):
+        v ^= 1 << i
+        walk.append(v)
+    images = sigma.apply_walk(walk)
+    assert images == [sigma.apply(w) for w in walk]
+    assert images == [_permute_bits(n, perm, sigma.mask, w) for w in walk]
+
+
+def test_apply_walk_rejects_non_adjacent_steps():
+    sigma = Automorphism(3, (2, 0, 1), 5)
+    assert sigma.apply_walk([]) == []
+    with pytest.raises(ValueError):
+        sigma.apply_walk([0, 3])
+    with pytest.raises(ValueError):
+        sigma.apply_walk([0, 1, 1])
+
+
 def test_automorphism_group_size_n3():
     tables = automorphism_vertex_tables(3)
     assert len(tables) == 48  # 3! * 2^3

@@ -1,13 +1,21 @@
 import pytest
 
 from hypercut.analysis import validate_cut
-from hypercut.core import Cube
+from hypercut.core import Cube, edge_mapping_automorphism
 from hypercut.cuts import (
     CubeStar,
     CutFamily,
     StructureKind,
+    _extended_path,
     build_cycle_cut,
     build_path_cut,
+)
+from hypercut.embeddings import (
+    CubeCycle,
+    canonical_cycle_orientation,
+    gray_sequence,
+    hamiltonian_through_edge,
+    rotate_cycle_to_edge,
 )
 from hypercut.formulas import kappa_path
 
@@ -66,6 +74,26 @@ def test_path_cut_extended_even():
     assert len(path.verts) == 8
     assert (path.verts[7] >> 3) & 1 == 1
     assert validate_cut(family).ok
+
+
+def test_extended_path_matches_the_full_cycle_construction():
+    # the construction before Gray-index walking: build the whole Hamiltonian
+    # cycle of x^{n-1} = 1 through the spine's last edge, rotate it onto that
+    # edge, and keep the k - (2n - 1) vertices after it
+    for n in range(4, 11):
+        edge = (1 << (n - 2), 0)
+        sigma = edge_mapping_automorphism(n - 1, (0, 1), edge)
+        full = canonical_cycle_orientation(tuple(sigma.apply(g) for g in gray_sequence(n - 1)))
+        assert hamiltonian_through_edge(n - 1, edge).verts == full
+        top = 1 << (n - 1)
+        lifted = CubeCycle(n, tuple(v | top for v in full))
+        rotated = rotate_cycle_to_edge(lifted, (1 << (n - 2)) | top, top)
+        spine = []
+        for j in range(n):
+            spine += [1 << j, (1 << j) | (2 << j)] if j < n - 1 else [1 << j]
+        for k in range(2 * n - 1, (1 << (n - 1)) + 1):
+            expected = tuple(spine) + rotated[2 : 2 + k - (2 * n - 1)]
+            assert _extended_path(n, k).verts == expected
 
 
 def test_path_cut_cardinality_and_shape():

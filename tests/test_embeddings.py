@@ -3,12 +3,14 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypercut.core import edge_mapping_automorphism
 from hypercut.embeddings import (
     CubeCycle,
     CubePath,
     embed_even_cycle,
     gray_hamiltonian,
     gray_sequence,
+    gray_walk_from_edge,
     hamiltonian_through_edge,
     odd_path_between_adjacent,
     random_embedded_cycle,
@@ -40,6 +42,39 @@ def test_gray_successive_xor_is_power_of_two():
 def test_gray_rejects_small_dimension():
     with pytest.raises(ValueError):
         gray_hamiltonian(1)
+
+
+def test_gray_walk_from_edge_is_the_mapped_gray_cycle():
+    # every edge, both directions, every prefix length, at n <= 5
+    for n in range(1, 6):
+        for a in range(1 << n):
+            for i in range(n):
+                edge = (a, a ^ (1 << i))
+                sigma = edge_mapping_automorphism(n, (0, 1), edge)
+                mapped = [sigma.apply(g) for g in gray_sequence(n)]
+                for c in range((1 << n) + 1):
+                    assert gray_walk_from_edge(n, edge, c) == mapped[:c]
+
+
+def test_gray_walk_from_edge_is_a_hamiltonian_walk_starting_on_the_edge():
+    # read off the walk itself: no automorphism, no Gray code
+    for n in range(1, 8):
+        for edge in ((0, 1), (1 << (n - 1), 0), ((1 << n) - 1, (1 << n) - 2)):
+            walk = gray_walk_from_edge(n, edge, 1 << n)
+            assert walk[:2] == list(edge)
+            assert sorted(walk) == list(range(1 << n))
+            for a, b in zip(walk, walk[1:] + walk[:1]):
+                assert bin(a ^ b).count("1") == 1
+
+
+def test_gray_walk_from_edge_rejections():
+    assert gray_walk_from_edge(3, (0, 1), 0) == []
+    with pytest.raises(ValueError):
+        gray_walk_from_edge(3, (0, 1), 9)
+    with pytest.raises(ValueError):
+        gray_walk_from_edge(3, (0, 1), -1)
+    with pytest.raises(ValueError):
+        gray_walk_from_edge(3, (0, 3), 2)
 
 
 def test_hamiltonian_through_edge_q2():
@@ -181,6 +216,38 @@ def test_restrict_preserves_invariants(inner_n, data):
     lifted = restrict_to_subcube(fixed, inner)
     assert lifted.violation() is None
     assert len(lifted.verts) == len(inner.verts)
+
+
+def _lift_bit_by_bit(fixed, inner_n, v):
+    """Place v's bits, lowest first, on the ambient coordinates not in fixed."""
+    w, j = 0, 0
+    for coord in range(inner_n + len(fixed)):
+        if coord in fixed:
+            bit = fixed[coord]
+        else:
+            bit, j = (v >> j) & 1, j + 1
+        w |= bit << coord
+    return w
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 6), st.integers(1, 4), st.booleans(), st.data())
+def test_restrict_matches_bit_by_bit_lift(inner_n, fixed_count, above, data):
+    ambient = inner_n + fixed_count
+    if above:
+        # every fixed coordinate at or above inner_n: the free ones are 0 .. inner_n - 1
+        coords = list(range(inner_n, ambient))
+    else:
+        # at least one fixed coordinate among the free ones
+        low = data.draw(st.integers(0, inner_n - 1))
+        rest = data.draw(st.lists(st.integers(0, ambient - 1).filter(lambda c: c != low),
+                                  min_size=fixed_count - 1, max_size=fixed_count - 1, unique=True))
+        coords = [low] + rest
+    fixed = {c: data.draw(st.integers(0, 1)) for c in coords}
+    rng = random.Random(data.draw(st.integers(0, 10_000)))
+    inner = random_embedded_path(inner_n, data.draw(st.integers(1, 1 << inner_n)), rng)
+    lifted = restrict_to_subcube(fixed, inner)
+    assert lifted.verts == tuple(_lift_bit_by_bit(fixed, inner_n, v) for v in inner.verts)
 
 
 def test_all_cycles_have_even_length():
