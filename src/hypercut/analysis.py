@@ -96,10 +96,6 @@ class ComplementReport:
         return len(self.components)
 
     @property
-    def smallest_component(self) -> frozenset[int]:
-        return self.components[0] if self.components else frozenset()
-
-    @property
     def is_trivial(self) -> bool:
         """At most one vertex survives the removal."""
         return sum(len(c) for c in self.components) <= 1

@@ -24,11 +24,11 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from . import analysis, formulas
+from . import analysis, cuts, formulas
 from .analysis import components_after_removal, validate_cut
 from .core import Cube, vertex_to_string
 from .cuts import CutElement, CutFamily, StructureKind, build_cycle_cut, build_path_cut
-from .oracle import BudgetError, SearchBudget, min_structure_cut
+from .oracle import BudgetError, SearchBudget, default_family_size, min_structure_cut
 
 SCHEMA = "hypercut/v1"
 
@@ -37,9 +37,9 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-# The largest k construct builds: families cost O(k) vertices at any n, and
-# at the cap a path cut at n = 21 writes about 37 MB of JSON.
-MAX_CONSTRUCT_K = 1 << 20
+# The most label characters construct prints (cardinality * k * n); at the
+# cap, a path cut at n = 21 with k = 2^20 writes about 37 MB of JSON.
+MAX_CONSTRUCT_CHARS = 21 << 20
 # The largest n drawn as DOT: render_dot writes all 2^n vertices and n * 2^(n-1) edges.
 MAX_DOT_DIM = 8
 
@@ -182,11 +182,19 @@ def _check_dot_dim(n: int) -> None:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    if args.k > MAX_CONSTRUCT_K:
-        raise ValueError(f"k = {args.k} exceeds the construct cap MAX_CONSTRUCT_K = {MAX_CONSTRUCT_K}")
     if args.format == "dot":
         _check_dot_dim(args.n)
-    build = build_path_cut if args.kind == "path" else build_cycle_cut
+    if args.kind == "path":
+        cuts.check_path_cut(args.n, args.k)
+        kappa, build = formulas.kappa_path, build_path_cut
+    else:
+        cuts.check_cycle_cut(args.n, args.k)
+        kappa, build = formulas.kappa_cycle, build_cycle_cut
+    # the family's element count is the exact kappa value, so the size is known before building
+    chars = kappa(args.n, args.k).value * args.k * args.n
+    if chars > MAX_CONSTRUCT_CHARS:
+        raise ValueError(f"k = {args.k} at n = {args.n} prints {chars} label characters,"
+                         f" over the construct cap MAX_CONSTRUCT_CHARS = {MAX_CONSTRUCT_CHARS}")
     family = build(args.n, args.k)
     if args.format == "dot":
         _emit(render_dot(args.n, family.vertex_union()), args.out)
@@ -354,10 +362,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
     ceiling = _oracle_ceiling()
     scopes = list(_SCOPES) if args.scope == "all" else [args.scope]
     start = time.perf_counter()
+    if args.nmax is not None and args.nmax < 3:
+        raise ValueError(f"--nmax must be at least 3, got {args.nmax}")
     report = RunReport("verify", {"scope": args.scope, "nmax": args.nmax, "jobs": args.jobs})
     for scope in scopes:
         build_rows, default_nmax = _SCOPES[scope]
-        report.rows.extend(build_rows(args.nmax or default_nmax, ceiling, args.jobs))
+        report.rows.extend(build_rows(default_nmax if args.nmax is None else args.nmax, ceiling, args.jobs))
     report.elapsed_s = time.perf_counter() - start
     _emit_report(report, args.format, args.out)
     return EXIT_OK if report.passed else EXIT_MISMATCH
@@ -379,7 +389,7 @@ def _parse_kind(kind_name: str, k: int | None) -> StructureKind:
 def cmd_oracle(args: argparse.Namespace) -> int:
     kind = _parse_kind(args.kind, args.k)
     ceiling = _oracle_ceiling()
-    max_size = args.max_size if args.max_size is not None else (3 if args.n == 5 else 4)
+    max_size = args.max_size if args.max_size is not None else default_family_size(args.n)
     budget = SearchBudget(max_family_size=max_size, max_dimension=ceiling)
     result = min_structure_cut(args.n, kind, args.mode, budget)
     payload = {

@@ -3,8 +3,8 @@
 Vertices are plain integers in [0, 2^n); bit i of the label is coordinate
 x^i, so the neighbor across coordinate i is a single XOR with 1 << i.
 Rendered strings put x^0 first.  The graph is never materialized as an
-adjacency structure: adjacency, distances, splits and automorphisms are
-all label arithmetic, so dimensions well past 20 cost nothing.
+adjacency structure: adjacency, distances and automorphisms are all
+label arithmetic, so dimensions well past 20 cost nothing.
 """
 
 from __future__ import annotations
@@ -47,23 +47,12 @@ class Cube:
         if self.n < 1:
             raise ValueError(f"dimension must be >= 1, got {self.n}")
 
-    @property
-    def edge_count(self) -> int:
-        return self.n << (self.n - 1)
-
     def vertices(self) -> range:
         return range(1 << self.n)
 
     def check_vertex(self, v: int) -> None:
         if not 0 <= v < (1 << self.n):
             raise ValueError(f"label {v} out of range for dimension {self.n}")
-
-    def neighbor(self, v: int, i: int) -> int:
-        """The neighbor of v across coordinate i."""
-        self.check_vertex(v)
-        if not 0 <= i < self.n:
-            raise ValueError(f"coordinate index {i} out of range for dimension {self.n}")
-        return v ^ (1 << i)
 
     def neighbors(self, v: int) -> list[int]:
         self.check_vertex(v)
@@ -83,21 +72,6 @@ class Cube:
         nu = {u ^ (1 << i) for i in range(self.n)}
         nv = {v ^ (1 << i) for i in range(self.n)}
         return nu & nv
-
-    def split(self, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Partition the vertices by coordinate i; each side induces Q_{n-1}."""
-        if self.n < 2:
-            raise ValueError("splitting requires dimension >= 2")
-        if not 0 <= i < self.n:
-            raise ValueError(f"coordinate index {i} out of range for dimension {self.n}")
-        bit = 1 << i
-        zero = tuple(v for v in self.vertices() if not v & bit)
-        one = tuple(v for v in self.vertices() if v & bit)
-        return zero, one
-
-    def to_string(self, v: int) -> str:
-        self.check_vertex(v)
-        return vertex_to_string(v, self.n)
 
     def from_string(self, s: str) -> int:
         if len(s) != self.n:
@@ -124,10 +98,6 @@ class Automorphism:
             raise ValueError(f"perm {self.perm} is not a permutation of 0..{self.n - 1}")
         if not 0 <= self.mask < (1 << self.n):
             raise ValueError(f"mask {self.mask} out of range for dimension {self.n}")
-
-    @staticmethod
-    def identity(n: int) -> "Automorphism":
-        return Automorphism(n, tuple(range(n)), 0)
 
     def apply(self, v: int) -> int:
         w = 0

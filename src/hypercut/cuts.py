@@ -190,6 +190,14 @@ def _extended_path(n: int, k: int) -> CubePath:
     return path
 
 
+def check_path_cut(n: int, k: int) -> None:
+    """Raise ValueError unless build_path_cut(n, k) is defined."""
+    if n < 3:
+        raise ValueError(f"path cuts need n >= 3, got {n}")
+    if not 3 <= k <= 1 << (n - 1):
+        raise ValueError(f"k must be in [3, 2^(n-1)] = [3, {1 << (n - 1)}], got {k}")
+
+
 def build_path_cut(n: int, k: int) -> CutFamily:
     """The explicit family of k-vertex paths isolating the zero vertex.
 
@@ -198,10 +206,7 @@ def build_path_cut(n: int, k: int) -> CutFamily:
     k/2 neighbors with a trailing bridge each; k past 2n - 1 collapses to
     a single extended path.
     """
-    if n < 3:
-        raise ValueError(f"path cuts need n >= 3, got {n}")
-    if not 3 <= k <= 1 << (n - 1):
-        raise ValueError(f"k must be in [3, 2^(n-1)] = [3, {1 << (n - 1)}], got {k}")
+    check_path_cut(n, k)
     elements: tuple[CutElement, ...]
     if (k % 2 == 1 and k >= 2 * n - 1) or (k % 2 == 0 and k >= 2 * n):
         elements = (_extended_path(n, k),)
@@ -240,6 +245,18 @@ def _long_cycle(n: int, k: int) -> CubeCycle:
     return cycle
 
 
+def check_cycle_cut(n: int, k: int) -> None:
+    """Raise ValueError unless build_cycle_cut(n, k) is defined."""
+    if n < 5:
+        raise ValueError(f"cycle cuts need n >= 5, got {n}")
+    if k % 2:
+        raise ValueError(f"cycle length must be even, got {k}")
+    if k < 6:
+        raise ValueError(f"cycle cuts need k >= 6, got {k}")
+    if k > 1 << (n - 2):
+        raise ValueError(f"k must be at most 2^(n-2) = {1 << (n - 2)}, got {k}")
+
+
 def build_cycle_cut(n: int, k: int) -> CutFamily:
     """The explicit family of k-cycles isolating the zero vertex.
 
@@ -249,14 +266,7 @@ def build_cycle_cut(n: int, k: int) -> CutFamily:
     a window would coincide with its inner bridge, and the 4-cycle value
     n - 2 comes from the star/C4 baseline, not from this construction.
     """
-    if n < 5:
-        raise ValueError(f"cycle cuts need n >= 5, got {n}")
-    if k % 2:
-        raise ValueError(f"cycle length must be even, got {k}")
-    if k < 6:
-        raise ValueError(f"cycle cuts need k >= 6, got {k}")
-    if k > 1 << (n - 2):
-        raise ValueError(f"k must be at most 2^(n-2) = {1 << (n - 2)}, got {k}")
+    check_cycle_cut(n, k)
     h = k // 2
     elements: tuple[CutElement, ...]
     if h <= n:

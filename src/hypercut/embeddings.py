@@ -100,16 +100,6 @@ class CubeCycle(_Embedded):
         # consecutive pairs and the closing pair, without copying a long tuple
         return self._violation(zip(self.verts, chain(islice(self.verts, 1, None), self.verts[:1])))
 
-    def has_edge(self, a: int, b: int) -> bool:
-        """True iff {a, b} is one of the cycle's edges (including the closing one)."""
-        k = len(self.verts)
-        for idx, v in enumerate(self.verts):
-            if v == a and self.verts[(idx + 1) % k] == b:
-                return True
-            if v == b and self.verts[(idx + 1) % k] == a:
-                return True
-        return False
-
 
 @dataclass(frozen=True)
 class CubeStar(_Embedded):
@@ -148,21 +138,6 @@ def canonical_cycle_orientation(verts: tuple[int, ...]) -> tuple[int, ...]:
     fwd = verts[pos:] + verts[:pos]
     bwd = (fwd[0],) + tuple(reversed(fwd[1:]))
     return min(fwd, bwd)
-
-
-def rotate_cycle_to_edge(cycle: CubeCycle, a: int, b: int) -> tuple[int, ...]:
-    """The cycle's vertices reordered to start (a, b, ...); {a, b} must be a cycle edge."""
-    verts = cycle.verts
-    k = len(verts)
-    if a not in verts:
-        raise ValueError(f"vertex {a} not on the cycle")
-    pos = verts.index(a)
-    rotated = verts[pos:] + verts[:pos]
-    if rotated[1] == b:
-        return rotated
-    if rotated[-1] == b:
-        return (rotated[0],) + tuple(reversed(rotated[1:]))
-    raise ValueError(f"({a}, {b}) is not an edge of the cycle")
 
 
 def gray_hamiltonian(n: int) -> CubeCycle:
@@ -228,8 +203,8 @@ def embed_even_cycle(n: int, l: int) -> CubeCycle:
         raise ValueError(f"cycle length {l} exceeds 2^{n} vertices")
     half = [m ^ (m >> 1) for m in range(l // 2)]
     top = 1 << (n - 1)
-    verts = tuple(half) + tuple(g | top for g in reversed(half))
-    cycle = CubeCycle(n, canonical_cycle_orientation(verts))
+    # already canonical: it starts 0, 1 and ends with top, and 1 < top
+    cycle = CubeCycle(n, tuple(half) + tuple(g | top for g in reversed(half)))
     require_valid(cycle)
     return cycle
 
@@ -237,8 +212,9 @@ def embed_even_cycle(n: int, l: int) -> CubeCycle:
 def odd_path_between_adjacent(n: int, u: int, v: int, q: int) -> CubePath:
     """A path of odd length q from u to v, for adjacent u, v and 1 <= q <= 2^n - 1.
 
-    q = 1 is the bare edge; otherwise embed a cycle of length q + 1 through
-    the edge uv and drop that edge.
+    q = 1 is the bare edge; otherwise the even cycle of length q + 1, which
+    starts with the edge (0, 1), is walked the long way round from 0 to 1
+    and carried onto (u, v) by an edge-mapping automorphism.
     """
     Cube(n).check_vertex(u)
     Cube(n).check_vertex(v)
@@ -250,12 +226,9 @@ def odd_path_between_adjacent(n: int, u: int, v: int, q: int) -> CubePath:
         raise ValueError(f"path length {q} out of range [1, 2^{n} - 1]")
     if q == 1:
         return CubePath(n, (u, v))
-    base = embed_even_cycle(n, q + 1)
-    sigma = edge_mapping_automorphism(n, (base.verts[0], base.verts[1]), (u, v))
-    mapped = CubeCycle(n, tuple(sigma.apply_walk(base.verts)))
-    rotated = rotate_cycle_to_edge(mapped, u, v)
-    # walk the cycle the long way round: u, then back from the far end to v
-    path = CubePath(n, (u,) + tuple(reversed(rotated[1:])))
+    base = embed_even_cycle(n, q + 1).verts
+    sigma = edge_mapping_automorphism(n, (0, 1), (u, v))
+    path = CubePath(n, tuple(sigma.apply_walk(base[:1] + base[:0:-1])))
     require_valid(path)
     return path
 
@@ -263,36 +236,21 @@ def odd_path_between_adjacent(n: int, u: int, v: int, q: int) -> CubePath:
 def restrict_to_subcube(
     fixed_coords: dict[int, int], inner: CubePath | CubeCycle
 ) -> CubePath | CubeCycle:
-    """Relabel a path/cycle from the cube on the free coordinates into Q_n.
+    """Relabel a path/cycle of Q_m into the subcube of Q_n that fixes the top coordinates.
 
-    fixed_coords pins ambient coordinates to constant bits; inner's
-    coordinate j maps to the j-th free ambient coordinate in increasing
-    order.  The relabeling is injective and adjacency-preserving, so the
-    result is the same kind of object one dimension class up.  When every
-    fixed coordinate is at or above inner.n, the free coordinates are
-    0 .. inner.n - 1 and the lift is one OR.
+    fixed_coords pins each of the ambient coordinates m .. n - 1 to a
+    constant bit, so inner's coordinates keep their places and the lift
+    is one OR.  The relabeling is injective and adjacency-preserving, so
+    the result is the same kind of object one dimension class up.
     """
     ambient_n = inner.n + len(fixed_coords)
     for coord, bit in fixed_coords.items():
-        if not 0 <= coord < ambient_n:
-            raise ValueError(f"fixed coordinate {coord} collides with the ambient range 0..{ambient_n - 1}")
+        if not inner.n <= coord < ambient_n:
+            raise ValueError(f"fixed coordinate {coord} is not among the top coordinates {inner.n}..{ambient_n - 1}")
         if bit not in (0, 1):
             raise ValueError(f"fixed coordinate {coord} must be 0 or 1, got {bit}")
-    free = [c for c in range(ambient_n) if c not in fixed_coords]
     base = sum(bit << coord for coord, bit in fixed_coords.items())
-
-    def lift(v: int) -> int:
-        w = base
-        for j, coord in enumerate(free):
-            if (v >> j) & 1:
-                w |= 1 << coord
-        return w
-
-    if all(coord >= inner.n for coord in fixed_coords):
-        verts = tuple(base | v for v in inner.verts)
-    else:
-        verts = tuple(lift(v) for v in inner.verts)
-    lifted = type(inner)(ambient_n, verts)
+    lifted = type(inner)(ambient_n, tuple(base | v for v in inner.verts))
     require_valid(lifted)
     return lifted
 

@@ -36,7 +36,7 @@ class SearchBudget:
     """Limits keeping the exhaustive search at desk scale.
 
     A search refuses any n above max_dimension, and every n >= 6; at n = 5
-    only a few kinds and family sizes up to 3 are sanctioned.
+    only a few kinds and family sizes are sanctioned (_check_budget).
     """
 
     max_family_size: int = 4
@@ -88,58 +88,37 @@ def _canon_image(el: CutElement, table: tuple[int, ...]) -> tuple[int, tuple[int
     return (_SHAPE_ORDER[el.shape], mapped)
 
 
-def _enumerate_paths(n: int, k: int) -> list[CubePath]:
-    """All paths on k vertices, one canonical direction each (smaller endpoint first)."""
+def _enumerate_walks(n: int, k: int, closed: bool) -> list[CubePath] | list[CubeCycle]:
+    """Every self-avoiding walk on k vertices, one canonical form each.
+
+    Paths keep the direction with the smaller endpoint first.  Cycles
+    (closed) are walks whose ends are adjacent; the start is forced to be
+    the cycle minimum and the second vertex smaller than the last, so every
+    cycle appears exactly once.
+    """
     size = 1 << n
     if k > size:
         return []
-    if k == 1:
-        return [CubePath(n, (v,)) for v in range(size)]
-    out: list[CubePath] = []
+    out: list = []
 
     def dfs(seq: list[int], used: int) -> None:
         if len(seq) == k:
-            if seq[0] < seq[-1]:
+            if closed:
+                if adjacent(seq[-1], seq[0]) and seq[1] < seq[-1]:
+                    out.append(CubeCycle(n, tuple(seq)))
+            elif seq[0] <= seq[-1]:
                 out.append(CubePath(n, tuple(seq)))
             return
         v = seq[-1]
         for i in range(n):
             w = v ^ (1 << i)
-            if not used >> w & 1:
+            if w > floor and not used >> w & 1:
                 seq.append(w)
                 dfs(seq, used | (1 << w))
                 seq.pop()
 
     for v0 in range(size):
-        dfs([v0], 1 << v0)
-    return out
-
-
-def _enumerate_cycles(n: int, k: int) -> list[CubeCycle]:
-    """All cycles of length k, canonical rotation/reflection each.
-
-    The start is forced to be the cycle minimum and the second vertex
-    smaller than the last, so every cycle appears exactly once.
-    """
-    size = 1 << n
-    if k > size:
-        return []
-    out: list[CubeCycle] = []
-
-    def dfs(seq: list[int], used: int) -> None:
-        if len(seq) == k:
-            if adjacent(seq[-1], seq[0]) and seq[1] < seq[-1]:
-                out.append(CubeCycle(n, tuple(seq)))
-            return
-        v = seq[-1]
-        for i in range(n):
-            w = v ^ (1 << i)
-            if w > seq[0] and not used >> w & 1:
-                seq.append(w)
-                dfs(seq, used | (1 << w))
-                seq.pop()
-
-    for v0 in range(size):
+        floor = v0 if closed else -1  # a cycle never revisits below its start
         dfs([v0], 1 << v0)
     return out
 
@@ -153,15 +132,14 @@ def _enumerate_stars(n: int, r: int) -> list[CubeStar]:
     return out
 
 
-_ENUMERATORS = {"path": _enumerate_paths, "cycle": _enumerate_cycles, "star": _enumerate_stars}
-
-
 def enumerate_copies(n: int, kind: StructureKind, mode: str = STRUCTURE) -> list[CutElement]:
     """Every embedded element admissible for (kind, mode), deduplicated canonically.
 
     The pool is sorted by shape (paths, cycles, stars), then by vertex tuple.
     """
-    pool = [el for shape, size in admissible_shapes(kind, mode) for el in _ENUMERATORS[shape](n, size)]
+    pool: list[CutElement] = []
+    for shape, size in admissible_shapes(kind, mode):
+        pool += _enumerate_stars(n, size) if shape == "star" else _enumerate_walks(n, size, shape == "cycle")
     pool.sort(key=_shape_key)
     return pool
 
@@ -192,6 +170,11 @@ def _orbit_partition(pool: list[CutElement], n: int) -> tuple[list[int], list[in
     return orbit_of, reps
 
 
+def default_family_size(n: int) -> int:
+    """The family-size budget at dimension n: the largest sanctioned at n = 5, else the default."""
+    return 3 if n == 5 else SearchBudget.max_family_size
+
+
 def _check_budget(n: int, kind: StructureKind, budget: SearchBudget) -> None:
     limit = min(budget.max_dimension, 5)  # exhaustive search is out of reach from n = 6
     if n > limit:
@@ -204,8 +187,8 @@ def _check_budget(n: int, kind: StructureKind, budget: SearchBudget) -> None:
             raise BudgetError(
                 "dimension 5 searches are limited to cycle(4), cycle(8) and path(k <= 4)"
             )
-        if budget.max_family_size > 3:
-            raise BudgetError("dimension 5 searches are limited to family sizes up to 3")
+        if budget.max_family_size > default_family_size(5):
+            raise BudgetError(f"dimension 5 searches are limited to family sizes up to {default_family_size(5)}")
 
 
 def _cut_test(n: int, mask: int, memo: dict[int, bool], stats: dict[str, int]) -> bool:
@@ -272,7 +255,6 @@ def _seed_level(
 
 def _level_search(
     n: int,
-    pool_size: int,
     masks: list[int],
     orbit_of: list[int],
     reps: list[int],
@@ -292,7 +274,7 @@ def _level_search(
     orbit_sizes = Counter(orbit_of)
     below = total = 0
     for orbit in sorted(orbit_sizes):
-        total += math.comb(pool_size - below - 1, s - 1)
+        total += math.comb(len(masks) - below - 1, s - 1)
         below += orbit_sizes[orbit]
     if total > _COMBINATION_CEILING:
         raise BudgetError(
@@ -300,7 +282,7 @@ def _level_search(
         )
     for r in reps:
         o = orbit_of[r]
-        cands = [j for j in range(pool_size) if j != r and orbit_of[j] >= o]
+        cands = [j for j in range(len(masks)) if j != r and orbit_of[j] >= o]
         base = masks[r]
         for comb in combinations(cands, s - 1):
             union = base
@@ -309,28 +291,6 @@ def _level_search(
             if _cut_test(n, union, memo, stats):
                 return tuple(sorted((r,) + comb))
     return None
-
-
-def _prepare(
-    n: int, kind: StructureKind, mode: str
-) -> tuple[list[CutElement], list[int], list[int], list[int], dict[str, int]]:
-    pool = enumerate_copies(n, kind, mode)
-    if not pool:
-        raise ValueError(f"no embedded copies of {kind.label()} exist in Q_{n}")
-    masks = []
-    for el in pool:
-        m = 0
-        for v in el.verts:
-            m |= 1 << v
-        masks.append(m)
-    orbit_of, reps = _orbit_partition(pool, n)
-    stats = {
-        "copies": len(pool),
-        "orbits": len(reps),
-        "cut_tests": 0,
-        "memo_hits": 0,
-    }
-    return pool, masks, orbit_of, reps, stats
 
 
 def min_structure_cut(
@@ -347,9 +307,24 @@ def min_structure_cut(
     """
     budget = budget or SearchBudget()
     _check_budget(n, kind, budget)
-    pool, masks, orbit_of, reps, stats = _prepare(n, kind, mode)
+    pool = enumerate_copies(n, kind, mode)
+    if not pool:
+        raise ValueError(f"no embedded copies of {kind.label()} exist in Q_{n}")
+    masks = []
+    for el in pool:
+        m = 0
+        for v in el.verts:
+            m |= 1 << v
+        masks.append(m)
+    orbit_of, reps = _orbit_partition(pool, n)
+    stats = {
+        "copies": len(pool),
+        "orbits": len(reps),
+        "cut_tests": 0,
+        "memo_hits": 0,
+    }
     for s in range(1, budget.max_family_size + 1):
-        hit = _level_search(n, len(pool), masks, orbit_of, reps, s, stats)
+        hit = _level_search(n, masks, orbit_of, reps, s, stats)
         if hit is not None:
             witness = CutFamily(n, kind, mode, tuple(pool[i] for i in hit))
             return OracleResult(s, EXACT, witness, stats=stats)

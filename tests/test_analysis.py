@@ -26,14 +26,14 @@ from hypercut.embeddings import CubeCycle, CubePath
 def test_remove_nothing():
     report = components_after_removal(3, set())
     assert report.component_count == 1
-    assert len(report.smallest_component) == 8
+    assert len(report.components[0]) == 8
     assert not report.disconnects_or_trivial
 
 
 def test_remove_neighborhood_isolates_vertex():
     report = components_after_removal(3, Cube(3).neighbors(0))
     assert report.component_count == 2
-    assert report.smallest_component == frozenset({0})
+    assert report.components[0] == frozenset({0})
     assert report.disconnects_or_trivial
 
 
@@ -41,7 +41,7 @@ def test_remove_single_face_leaves_connected():
     # taking out one 4-cycle of Q_3 leaves the opposite face connected
     report = components_after_removal(3, {0, 1, 3, 2})
     assert report.component_count == 1
-    assert len(report.smallest_component) == 4
+    assert len(report.components[0]) == 4
     assert not report.disconnects_or_trivial
 
 

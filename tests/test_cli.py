@@ -4,7 +4,7 @@ import json
 import pytest
 
 from hypercut import cli
-from hypercut.cli import MAX_CONSTRUCT_K, main, render_dot
+from hypercut.cli import MAX_CONSTRUCT_CHARS, main, render_dot
 
 
 def run(capsys, *argv):
@@ -51,13 +51,37 @@ def test_construct_refuses_k_above_cap_before_building(capsys, monkeypatch):
     k = 1 << 40
     code, _, err = run(capsys, "construct", "--n", "64", "--kind", "path", "--k", str(k))
     assert code == 2
-    assert str(k) in err and str(MAX_CONSTRUCT_K) in err
+    assert str(k) in err and str(k * 64) in err and str(MAX_CONSTRUCT_CHARS) in err
+
+
+def test_construct_refuses_large_n_before_building(capsys, monkeypatch):
+    # 33,334 windows of 5 labels, each 10^5 characters: about 1.7e10 characters
+    monkeypatch.setattr(cli, "build_path_cut", _no_build)
+    code, _, err = run(capsys, "construct", "--n", "100000", "--kind", "path", "--k", "5")
+    assert code == 2
+    assert str(33334 * 5 * 100000) in err and str(MAX_CONSTRUCT_CHARS) in err
+
+
+def test_construct_range_error_comes_before_the_cap(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "build_cycle_cut", _no_build)
+    code, _, err = run(capsys, "construct", "--n", "100000", "--kind", "cycle", "--k", "4")
+    assert code == 2
+    assert "k >= 6" in err
 
 
 def test_construct_cap_is_inclusive(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "MAX_CONSTRUCT_K", 16)
-    assert run(capsys, "construct", "--n", "6", "--kind", "path", "--k", "16")[0] == 0
-    assert run(capsys, "construct", "--n", "6", "--kind", "path", "--k", "17")[0] == 2
+    # the 3-element family of 3-vertex paths at n = 5 prints 3 * 3 * 5 = 45 label characters
+    monkeypatch.setattr(cli, "MAX_CONSTRUCT_CHARS", 45)
+    assert run(capsys, "construct", "--n", "5", "--kind", "path", "--k", "3")[0] == 0
+    assert run(capsys, "construct", "--n", "5", "--kind", "path", "--k", "4")[0] == 2
+    assert run(capsys, "construct", "--n", "6", "--kind", "cycle", "--k", "6")[0] == 2
+    monkeypatch.setattr(cli, "MAX_CONSTRUCT_CHARS", 72)
+    assert run(capsys, "construct", "--n", "6", "--kind", "cycle", "--k", "6")[0] == 0
+
+
+def test_construct_cap_admits_a_path_cut_at_n_21_with_k_2_to_the_20():
+    # one element of 2^20 labels of 21 characters; building it takes seconds, so only the bound is checked
+    assert 1 * (1 << 20) * 21 <= MAX_CONSTRUCT_CHARS
 
 
 def test_construct_dot_refuses_large_n_before_building(capsys, monkeypatch):
@@ -152,6 +176,36 @@ def test_oracle_q5_c8(capsys):
     assert json.loads(out)["value"] == 2
 
 
+def _oracle_pin_commands():
+    for n in (3, 4):
+        for mode in ("structure", "substructure"):
+            for kind in ("vertex", "edge"):
+                yield ("--n", str(n), "--kind", kind, "--mode", mode)
+            for kind, ks in (("path", range(3, (1 << (n - 1)) + 1)),
+                             ("cycle", range(4, (1 << (n - 1)) + 1, 2)),
+                             ("star", range(2, n + 1))):
+                for k in ks:
+                    yield ("--n", str(n), "--kind", kind, "--k", str(k), "--mode", mode)
+    yield ("--n", "5", "--kind", "cycle", "--k", "8", "--max-size", "3")
+    yield ("--n", "5", "--kind", "path", "--k", "4")
+
+
+# every kind and mode at n = 3, 4 with the default family-size budget, and two
+# n = 5 searches; recorded before the path and cycle enumerators were merged
+_ORACLE_SHA256 = "77c2d3cd1b17a5a33fb46a1518bff857a5be6b8a76faea5350917b6c17db8544"
+
+
+def test_oracle_stdout_is_byte_stable(capsys, monkeypatch):
+    monkeypatch.delenv("HYPERCUT_MAX_DIM", raising=False)
+    outs = []
+    for argv in _oracle_pin_commands():
+        code, out, _ = run(capsys, "oracle", *argv)
+        assert code == 0
+        outs.append(out)
+    assert len(outs) == 44
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == _ORACLE_SHA256
+
+
 def test_oracle_vertex_kind_rejects_k(capsys):
     code, _, err = run(capsys, "oracle", "--n", "3", "--kind", "vertex", "--k", "2")
     assert code == 2
@@ -191,6 +245,15 @@ def test_verify_paths_small(capsys):
         (3, 4, "structure"), (3, 4, "substructure"),
     }
     assert all(r["status"] == "pass" for r in oracle_rows)
+
+
+def test_verify_nmax_below_three_exits_2(capsys):
+    # 0 must not fall back to the scope's default, nor may a negative bound pass with no rows
+    for scope, nmax in (("paths", "0"), ("budengs", "0"), ("paths", "-3"), ("all", "2")):
+        code, out, err = run(capsys, "verify", "--scope", scope, "--nmax", nmax)
+        assert code == 2
+        assert out == ""
+        assert f"--nmax must be at least 3, got {nmax}" in err
 
 
 def test_verify_power_of_two_table(capsys):

@@ -18,21 +18,19 @@ from hypercut.embeddings import gray_hamiltonian
 
 def test_neighbor_flips_single_bit():
     cube = Cube(3)
-    assert cube.neighbor(0, 0) == 1
-    assert cube.to_string(cube.neighbor(0, 0)) == "100"
+    assert cube.neighbors(0)[0] == 1
+    assert vertex_to_string(cube.neighbors(0)[0], 3) == "100"
     # "110" has x^0 = x^1 = 1, so the label is 3; flipping bit 2 gives "111"
-    assert cube.neighbor(3, 2) == 7
-    assert cube.to_string(7) == "111"
+    assert cube.neighbors(3)[2] == 7
+    assert vertex_to_string(7, 3) == "111"
 
 
 def test_neighbor_index_out_of_range():
     cube = Cube(3)
     with pytest.raises(ValueError):
-        cube.neighbor(0, 3)
+        cube.neighbors(8)
     with pytest.raises(ValueError):
-        cube.neighbor(0, -1)
-    with pytest.raises(ValueError):
-        cube.neighbor(8, 0)
+        cube.neighbors(-1)
 
 
 @given(st.integers(1, 12), st.data())
@@ -40,7 +38,7 @@ def test_neighbor_is_involutive(n, data):
     cube = Cube(n)
     v = data.draw(st.integers(0, (1 << n) - 1))
     i = data.draw(st.integers(0, n - 1))
-    assert cube.neighbor(cube.neighbor(v, i), i) == v
+    assert cube.neighbors(cube.neighbors(v)[i])[i] == v
 
 
 def test_hamming_distance_examples():
@@ -61,7 +59,7 @@ def test_degree_and_edge_count():
     for n in range(1, 7):
         cube = Cube(n)
         assert all(len(cube.neighbors(v)) == n for v in cube.vertices())
-        assert sum(1 for _ in cube.edges()) == cube.edge_count == n * (1 << (n - 1))
+        assert sum(1 for _ in cube.edges()) == n * (1 << (n - 1))
 
 
 def test_common_neighbors_distance_two():
@@ -87,34 +85,8 @@ def test_common_neighbors_exhaustive_small():
                     assert len(cube.common_neighbors(u, v)) == 2
 
 
-def test_split_q3():
-    cube = Cube(3)
-    zero, one = cube.split(2)
-    assert zero == (0, 1, 2, 3)
-    assert one == (4, 5, 6, 7)
-
-
-def test_split_sides_are_subcubes():
-    for n in range(2, 7):
-        cube = Cube(n)
-        for i in range(n):
-            for side in cube.split(i):
-                assert len(side) == 1 << (n - 1)
-                members = set(side)
-                for v in side:
-                    inside = sum(1 for w in cube.neighbors(v) if w in members)
-                    assert inside == n - 1
-
-
-def test_split_errors():
-    with pytest.raises(ValueError):
-        Cube(1).split(0)
-    with pytest.raises(ValueError):
-        Cube(3).split(3)
-
-
 def test_identity_automorphism():
-    ident = Automorphism.identity(4)
+    ident = Automorphism(4, tuple(range(4)), 0)
     assert all(ident.apply(v) == v for v in range(16))
 
 

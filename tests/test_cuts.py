@@ -11,11 +11,9 @@ from hypercut.cuts import (
     build_path_cut,
 )
 from hypercut.embeddings import (
-    CubeCycle,
     canonical_cycle_orientation,
     gray_sequence,
     hamiltonian_through_edge,
-    rotate_cycle_to_edge,
 )
 from hypercut.formulas import kappa_path
 
@@ -86,8 +84,13 @@ def test_extended_path_matches_the_full_cycle_construction():
         full = canonical_cycle_orientation(tuple(sigma.apply(g) for g in gray_sequence(n - 1)))
         assert hamiltonian_through_edge(n - 1, edge).verts == full
         top = 1 << (n - 1)
-        lifted = CubeCycle(n, tuple(v | top for v in full))
-        rotated = rotate_cycle_to_edge(lifted, (1 << (n - 2)) | top, top)
+        lifted = tuple(v | top for v in full)
+        # rotate the lifted cycle to start with the edge (e_{n-2} | e_{n-1}, e_{n-1})
+        pos = lifted.index((1 << (n - 2)) | top)
+        rotated = lifted[pos:] + lifted[:pos]
+        if rotated[1] != top:
+            rotated = rotated[:1] + rotated[:0:-1]
+        assert rotated[1] == top
         spine = []
         for j in range(n):
             spine += [1 << j, (1 << j) | (2 << j)] if j < n - 1 else [1 << j]
