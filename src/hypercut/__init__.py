@@ -7,7 +7,6 @@ scale.
 """
 
 from .analysis import (
-    ComplementReport,
     CutVerdict,
     check_pair_neighbor_counts,
     components_after_removal,
@@ -20,7 +19,6 @@ from .core import (
     Cube,
     adjacent,
     edge_mapping_automorphism,
-    hamming_distance,
     vertex_from_string,
     vertex_to_string,
 )
@@ -35,7 +33,6 @@ from .embeddings import (
     CubeCycle,
     CubePath,
     embed_even_cycle,
-    gray_hamiltonian,
     hamiltonian_through_edge,
     odd_path_between_adjacent,
     restrict_to_subcube,
@@ -43,7 +40,6 @@ from .embeddings import (
 from .formulas import (
     KappaValue,
     NotCoveredError,
-    kappa_c6_lower_bound,
     kappa_cycle,
     kappa_g_extra_formula,
     kappa_baseline,
@@ -64,7 +60,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Automorphism",
     "BudgetError",
-    "ComplementReport",
     "Cube",
     "CubeCycle",
     "CubePath",
@@ -85,10 +80,7 @@ __all__ = [
     "embed_even_cycle",
     "enumerate_copies",
     "g_extra_connectivity",
-    "gray_hamiltonian",
     "hamiltonian_through_edge",
-    "hamming_distance",
-    "kappa_c6_lower_bound",
     "kappa_cycle",
     "kappa_g_extra_formula",
     "kappa_baseline",

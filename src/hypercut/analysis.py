@@ -83,30 +83,8 @@ def is_disconnecting_mask(n: int, removed_mask: int) -> bool:
     return _grow_component(n, remaining & -remaining, remaining) != remaining
 
 
-@dataclass(frozen=True)
-class ComplementReport:
-    """What is left of Q_n after removing a vertex set."""
-
-    n: int
-    removed: frozenset[int]
-    components: tuple[frozenset[int], ...]
-
-    @property
-    def component_count(self) -> int:
-        return len(self.components)
-
-    @property
-    def is_trivial(self) -> bool:
-        """At most one vertex survives the removal."""
-        return sum(len(c) for c in self.components) <= 1
-
-    @property
-    def disconnects_or_trivial(self) -> bool:
-        return self.is_trivial or self.component_count >= 2
-
-
-def components_after_removal(n: int, removed: Iterable[int]) -> ComplementReport:
-    """BFS the complement of a removed vertex set; components sorted small first."""
+def components_after_removal(n: int, removed: Iterable[int]) -> tuple[frozenset[int], ...]:
+    """Components of Q_n minus a removed vertex set, sorted small first."""
     cube = Cube(n)
     removed_set = frozenset(removed)
     for v in removed_set:
@@ -117,7 +95,7 @@ def components_after_removal(n: int, removed: Iterable[int]) -> ComplementReport
         comp = frozenset(i for i in range(1 << n) if (comp_mask >> i) & 1)
         comps.append(comp)
     comps.sort(key=lambda c: (len(c), min(c)))
-    return ComplementReport(n=n, removed=removed_set, components=tuple(comps))
+    return tuple(comps)
 
 
 VALID_CUT = "valid-cut"

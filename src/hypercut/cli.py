@@ -28,7 +28,7 @@ from . import analysis, cuts, formulas
 from .analysis import components_after_removal, validate_cut
 from .core import Cube, vertex_to_string
 from .cuts import CutElement, CutFamily, StructureKind, build_cycle_cut, build_path_cut
-from .oracle import BudgetError, SearchBudget, default_family_size, min_structure_cut
+from .oracle import MAX_SEARCH_DIM, BudgetError, SearchBudget, default_family_size, min_structure_cut
 
 SCHEMA = "hypercut/v1"
 
@@ -42,6 +42,9 @@ EXIT_BUDGET = 3
 MAX_CONSTRUCT_CHARS = 21 << 20
 # The largest n drawn as DOT: render_dot writes all 2^n vertices and n * 2^(n-1) edges.
 MAX_DOT_DIM = 8
+# The largest property-test --nmax: the common-neighbour scan takes 2^n * C(n, 2)
+# steps, which came to 7-8 s at --nmax 14 and about 5.5 times that at 16 on 2 vCPUs.
+MAX_SCAN_DIM = 14
 
 _PALETTE = (
     "#66c2a5", "#fc8d62", "#8da0cb", "#e78ac3",
@@ -52,13 +55,13 @@ _PALETTE = (
 def _oracle_ceiling() -> int:
     raw = os.environ.get("HYPERCUT_MAX_DIM")
     if raw is None:
-        return 5
+        return MAX_SEARCH_DIM
     try:
         value = int(raw)
     except ValueError as exc:
         raise ValueError(f"HYPERCUT_MAX_DIM must be an integer, got {raw!r}") from exc
-    if value > 5:
-        raise ValueError(f"HYPERCUT_MAX_DIM above 5 is rejected, got {value}")
+    if value > MAX_SEARCH_DIM:
+        raise ValueError(f"HYPERCUT_MAX_DIM above {MAX_SEARCH_DIM} is rejected, got {value}")
     return value
 
 
@@ -153,9 +156,8 @@ def _emit_report(report: RunReport, fmt: str, out: str | None) -> None:
 
 def render_dot(n: int, removed: frozenset[int]) -> str:
     """DOT drawing of Q_n: removed vertices boxed gray, components colored."""
-    report = components_after_removal(n, removed)
     color_of: dict[int, str] = {}
-    for idx, comp in enumerate(report.components):
+    for idx, comp in enumerate(components_after_removal(n, removed)):
         for v in comp:
             color_of[v] = _PALETTE[idx % len(_PALETTE)]
     lines = [f"graph Q{n} {{"]
@@ -272,7 +274,7 @@ def _oracle_rows(scope: str, cases: list[dict], ceiling: int, rows_at) -> list[d
 
 def _verify_paths(nmax: int, ceiling: int, jobs: int) -> list[dict]:
     def rows_at(n: int) -> list[dict]:
-        return [_oracle_value_row("paths", n, StructureKind.path(k), mode,
+        return [_oracle_value_row("paths", n, StructureKind("path", k), mode,
                                   formulas.kappa_path(n, k).value, SearchBudget())
                 for k in range(3, (1 << (n - 1)) + 1)
                 for mode in ("structure", "substructure")]
@@ -287,7 +289,7 @@ def _verify_paths(nmax: int, ceiling: int, jobs: int) -> list[dict]:
 def _verify_cycles(nmax: int, ceiling: int, jobs: int) -> list[dict]:
     def rows_at(n: int) -> Iterator[dict]:
         for k in range(4, (1 << (n - 1)) + 1, 2):
-            kind = StructureKind.cycle(k)
+            kind = StructureKind("cycle", k)
             sub = formulas.kappa_cycle(n, k, "substructure")
             yield _oracle_value_row("cycles", n, kind, "substructure", sub.value, SearchBudget())
             struct = formulas.kappa_cycle(n, k, "structure")
@@ -304,7 +306,7 @@ def _verify_cycles(nmax: int, ceiling: int, jobs: int) -> list[dict]:
 def _verify_power_of_two(nmax: int, ceiling: int, jobs: int) -> list[dict]:
     def rows_at(n: int, m: int, expected: int) -> list[dict]:
         budget = SearchBudget(max_family_size=3, max_dimension=5)
-        return [_oracle_value_row("power-of-two", n, StructureKind.cycle(1 << m),
+        return [_oracle_value_row("power-of-two", n, StructureKind("cycle", 1 << m),
                                   "structure", expected, budget) | {"m": m}]
 
     cases = [{"n": n, "m": m, "expected": formulas.kappa_power_of_two_cycle(n, m).value}
@@ -380,7 +382,7 @@ def _parse_kind(kind_name: str, k: int | None) -> StructureKind:
     if kind_name in ("vertex", "edge"):
         if k is not None:
             raise ValueError(f"--k does not apply to kind {kind_name!r}")
-        return StructureKind.vertex() if kind_name == "vertex" else StructureKind.edge()
+        return StructureKind(kind_name, 1 if kind_name == "vertex" else 2)
     if k is None:
         raise ValueError(f"kind {kind_name!r} needs --k")
     return StructureKind(kind_name, k)
@@ -429,6 +431,8 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 
 
 def cmd_property_test(args: argparse.Namespace) -> int:
+    if not 2 <= args.nmax <= MAX_SCAN_DIM:
+        raise ValueError(f"--nmax must be in [2, {MAX_SCAN_DIM}], got {args.nmax}")
     suites = ["common-neighbors", "path-bound", "cycle-bound"] if args.suite == "all" else [args.suite]
     rng = random.Random(args.seed)
     start = time.perf_counter()

@@ -15,11 +15,6 @@ from functools import lru_cache
 from typing import Iterator
 
 
-def hamming_distance(u: int, v: int) -> int:
-    """Number of bit positions where two labels differ."""
-    return (u ^ v).bit_count()
-
-
 def adjacent(u: int, v: int) -> bool:
     """True iff the labels differ in exactly one bit."""
     return (u ^ v).bit_count() == 1

@@ -53,26 +53,6 @@ class StructureKind:
         if not _KINDS[self.name][1](self.size):
             raise ValueError(f"invalid size {self.size} for kind {self.name!r}")
 
-    @staticmethod
-    def vertex() -> "StructureKind":
-        return StructureKind("vertex", 1)
-
-    @staticmethod
-    def edge() -> "StructureKind":
-        return StructureKind("edge", 2)
-
-    @staticmethod
-    def star(leaves: int) -> "StructureKind":
-        return StructureKind("star", leaves)
-
-    @staticmethod
-    def path(k: int) -> "StructureKind":
-        return StructureKind("path", k)
-
-    @staticmethod
-    def cycle(k: int) -> "StructureKind":
-        return StructureKind("cycle", k)
-
     def label(self) -> str:
         return _KINDS[self.name][0].format(self.size)
 
@@ -99,6 +79,11 @@ ADMISSIBLE = {
     ("cycle", STRUCTURE): lambda k: [("cycle", k)],
     ("cycle", SUBSTRUCTURE): lambda k: [("path", j) for j in range(1, k + 1)] + [("cycle", k)],
 }
+
+
+def at_most_power_of_two(k: int, m: int) -> bool:
+    """True iff k <= 2^m, read from the bit length of k - 1 so that 2^m is never built."""
+    return k < 1 or (k - 1).bit_length() <= m
 
 
 def check_mode(mode: str) -> None:
@@ -194,8 +179,8 @@ def check_path_cut(n: int, k: int) -> None:
     """Raise ValueError unless build_path_cut(n, k) is defined."""
     if n < 3:
         raise ValueError(f"path cuts need n >= 3, got {n}")
-    if not 3 <= k <= 1 << (n - 1):
-        raise ValueError(f"k must be in [3, 2^(n-1)] = [3, {1 << (n - 1)}], got {k}")
+    if not (k >= 3 and at_most_power_of_two(k, n - 1)):
+        raise ValueError(f"k must be in [3, 2^(n-1)] at n = {n}, got {k}")
 
 
 def build_path_cut(n: int, k: int) -> CutFamily:
@@ -216,7 +201,7 @@ def build_path_cut(n: int, k: int) -> CutFamily:
     else:
         h = k // 2
         elements = tuple(_window_path(n, s, h, trailing=True) for s in _window_starts(n, h))
-    return CutFamily(n, StructureKind.path(k), STRUCTURE, elements)
+    return CutFamily(n, StructureKind("path", k), STRUCTURE, elements)
 
 
 def _window_cycle(n: int, start: int, h: int) -> CubeCycle:
@@ -253,8 +238,8 @@ def check_cycle_cut(n: int, k: int) -> None:
         raise ValueError(f"cycle length must be even, got {k}")
     if k < 6:
         raise ValueError(f"cycle cuts need k >= 6, got {k}")
-    if k > 1 << (n - 2):
-        raise ValueError(f"k must be at most 2^(n-2) = {1 << (n - 2)}, got {k}")
+    if not at_most_power_of_two(k, n - 2):
+        raise ValueError(f"k must be at most 2^(n-2) at n = {n}, got {k}")
 
 
 def build_cycle_cut(n: int, k: int) -> CutFamily:
@@ -273,4 +258,4 @@ def build_cycle_cut(n: int, k: int) -> CutFamily:
         elements = tuple(_window_cycle(n, s, h) for s in _window_starts(n, h))
     else:
         elements = (_long_cycle(n, k),)
-    return CutFamily(n, StructureKind.cycle(k), STRUCTURE, elements)
+    return CutFamily(n, StructureKind("cycle", k), STRUCTURE, elements)

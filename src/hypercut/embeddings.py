@@ -140,15 +140,6 @@ def canonical_cycle_orientation(verts: tuple[int, ...]) -> tuple[int, ...]:
     return min(fwd, bwd)
 
 
-def gray_hamiltonian(n: int) -> CubeCycle:
-    """The reflected-Gray-code Hamiltonian cycle of Q_n."""
-    if n < 2:
-        raise ValueError(f"Hamiltonian cycles need n >= 2, got {n}")
-    cycle = CubeCycle(n, tuple(gray_sequence(n)))
-    require_valid(cycle)
-    return cycle
-
-
 def gray_walk_from_edge(n: int, edge: tuple[int, int], count: int) -> list[int]:
     """The first count vertices of the Gray cycle of Q_n carried onto edge.
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cuts import StructureKind, check_mode
+from .cuts import StructureKind, at_most_power_of_two, check_mode
 
 
 class NotCoveredError(ValueError):
@@ -59,7 +59,7 @@ def kappa_path(n: int, k: int, mode: str = "structure") -> KappaValue:
     check_mode(mode)
     if n < 3:
         raise NotCoveredError(f"path values need n >= 3, got {n}")
-    if not 3 <= k <= 1 << (n - 1):
+    if not (k >= 3 and at_most_power_of_two(k, n - 1)):
         raise NotCoveredError(f"path values need 3 <= k <= 2^(n-1), got k={k} at n={n}")
     return KappaValue(EXACT, _path_value(n, k), "path-cut")
 
@@ -77,20 +77,20 @@ def kappa_cycle(n: int, k: int, mode: str = "structure") -> KappaValue:
     if n < 3:
         raise NotCoveredError(f"cycle values need n >= 3, got {n}")
     if mode == "substructure":
-        if not 3 <= k <= 1 << (n - 1):
+        if not (k >= 3 and at_most_power_of_two(k, n - 1)):
             raise NotCoveredError(
                 f"substructure cycle values need 3 <= k <= 2^(n-1), got k={k} at n={n}"
             )
         return KappaValue(EXACT, _path_value(n, k), "cycle-cut")
     if k % 2:
         raise NotCoveredError(f"structure mode needs even k (no odd cycle embeds), got {k}")
-    if not 4 <= k <= 1 << (n - 1):
+    if not (k >= 4 and at_most_power_of_two(k, n - 1)):
         raise NotCoveredError(
             f"structure cycle values need 4 <= k <= 2^(n-1), got k={k} at n={n}"
         )
     if k == 4:
         return KappaValue(EXACT, 2 if n == 3 else n - 2, "star-and-c4-baseline")
-    if n >= 5 and k <= 1 << (n - 2):
+    if n >= 5 and at_most_power_of_two(k, n - 2):
         return KappaValue(EXACT, _ceil_div(2 * n, k), "cycle-cut")
     # even lengths in (2^(n-2), 2^(n-1)]: exactness is open, only the bound holds
     return KappaValue(LOWER_BOUND, _ceil_div(2 * n, k), "cycle-open-regime")
@@ -155,13 +155,6 @@ def kappa_g_extra_formula(n: int, g: int) -> int:
     if g <= n - 4:
         return (g + 1) * n - 2 * g - math.comb(g, 2)
     return n * (n - 1) // 2
-
-
-def kappa_c6_lower_bound(n: int) -> int:
-    """Lower bound ceil(n/3) for 6-cycle structure connectivity, n >= 4."""
-    if n < 4:
-        raise NotCoveredError(f"6-cycle lower bound needs n >= 4, got {n}")
-    return _ceil_div(n, 3)
 
 
 def verify_budengs_inequality(n_max: int) -> list[tuple[int, int]]:

@@ -47,6 +47,8 @@ class SearchBudget:
             raise ValueError("max_family_size must be >= 1")
 
 _COMBINATION_CEILING = 20_000_000
+# The largest dimension any search accepts: exhaustive search is out of reach from n = 6.
+MAX_SEARCH_DIM = 5
 
 
 @dataclass(frozen=True)
@@ -176,7 +178,7 @@ def default_family_size(n: int) -> int:
 
 
 def _check_budget(n: int, kind: StructureKind, budget: SearchBudget) -> None:
-    limit = min(budget.max_dimension, 5)  # exhaustive search is out of reach from n = 6
+    limit = min(budget.max_dimension, MAX_SEARCH_DIM)
     if n > limit:
         raise BudgetError(f"dimension {n} above the search limit {limit}")
     if n == 5:

@@ -13,21 +13,21 @@ from hypercut.embeddings import CubePath, CubeStar, embed_even_cycle, gray_seque
 from hypercut.oracle import enumerate_copies
 
 CASES = [
-    (3, StructureKind.path(1)),
-    (3, StructureKind.path(2)),
-    (3, StructureKind.path(3)),
-    (3, StructureKind.path(4)),
-    (3, StructureKind.cycle(4)),
-    (3, StructureKind.cycle(6)),
-    (3, StructureKind.star(2)),
-    (3, StructureKind.star(3)),
-    (3, StructureKind.vertex()),
-    (3, StructureKind.edge()),
-    (4, StructureKind.path(5)),
-    (4, StructureKind.cycle(6)),
-    (4, StructureKind.star(3)),
-    (4, StructureKind.vertex()),
-    (4, StructureKind.edge()),
+    (3, StructureKind("path", 1)),
+    (3, StructureKind("path", 2)),
+    (3, StructureKind("path", 3)),
+    (3, StructureKind("path", 4)),
+    (3, StructureKind("cycle", 4)),
+    (3, StructureKind("cycle", 6)),
+    (3, StructureKind("star", 2)),
+    (3, StructureKind("star", 3)),
+    (3, StructureKind("vertex", 1)),
+    (3, StructureKind("edge", 2)),
+    (4, StructureKind("path", 5)),
+    (4, StructureKind("cycle", 6)),
+    (4, StructureKind("star", 3)),
+    (4, StructureKind("vertex", 1)),
+    (4, StructureKind("edge", 2)),
 ]
 IDS = [f"Q{n}-{kind.label()}" for n, kind in CASES]
 MODES = ("structure", "substructure")

@@ -24,39 +24,43 @@ from hypercut.embeddings import CubeCycle, CubePath
 
 
 def test_remove_nothing():
-    report = components_after_removal(3, set())
-    assert report.component_count == 1
-    assert len(report.components[0]) == 8
-    assert not report.disconnects_or_trivial
+    comps = components_after_removal(3, set())
+    assert len(comps) == 1
+    assert len(comps[0]) == 8
+    assert not is_disconnecting_mask(3, 0)
 
 
 def test_remove_neighborhood_isolates_vertex():
-    report = components_after_removal(3, Cube(3).neighbors(0))
-    assert report.component_count == 2
-    assert report.components[0] == frozenset({0})
-    assert report.disconnects_or_trivial
+    removed = Cube(3).neighbors(0)
+    comps = components_after_removal(3, removed)
+    assert len(comps) == 2
+    assert comps[0] == frozenset({0})
+    assert is_disconnecting_mask(3, vertex_mask(3, removed))
 
 
 def test_remove_single_face_leaves_connected():
     # taking out one 4-cycle of Q_3 leaves the opposite face connected
-    report = components_after_removal(3, {0, 1, 3, 2})
-    assert report.component_count == 1
-    assert len(report.components[0]) == 4
-    assert not report.disconnects_or_trivial
+    comps = components_after_removal(3, {0, 1, 3, 2})
+    assert len(comps) == 1
+    assert len(comps[0]) == 4
+    assert not is_disconnecting_mask(3, vertex_mask(3, {0, 1, 3, 2}))
 
 
 def test_trivial_complements():
-    assert components_after_removal(2, {0, 1, 2}).is_trivial
-    assert components_after_removal(2, {0, 1, 2, 3}).is_trivial
-    assert not components_after_removal(2, {0}).is_trivial
+    # at most one surviving vertex counts as a cut
+    for removed in ({0, 1, 2}, {0, 1, 2, 3}):
+        assert sum(len(c) for c in components_after_removal(2, removed)) <= 1
+        assert is_disconnecting_mask(2, vertex_mask(2, removed))
+    assert len(components_after_removal(2, {0})) == 1
+    assert not is_disconnecting_mask(2, vertex_mask(2, {0}))
 
 
 @settings(max_examples=60)
 @given(st.integers(2, 7), st.data())
 def test_component_sizes_sum(n, data):
     removed = data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=1 << n))
-    report = components_after_removal(n, removed)
-    assert sum(len(c) for c in report.components) == (1 << n) - len(removed)
+    comps = components_after_removal(n, removed)
+    assert sum(len(c) for c in comps) == (1 << n) - len(removed)
 
 
 def _set_based_components(n, removed):
@@ -82,8 +86,7 @@ def _set_based_components(n, removed):
 @given(st.integers(2, 7), st.data())
 def test_components_match_set_based_bfs(n, data):
     removed = data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=(1 << n) - 1))
-    report = components_after_removal(n, removed)
-    assert list(report.components) == _set_based_components(n, removed)
+    assert list(components_after_removal(n, removed)) == _set_based_components(n, removed)
 
 
 def test_validate_constructed_family():
@@ -91,14 +94,14 @@ def test_validate_constructed_family():
 
 
 def test_validate_single_face_not_a_cut():
-    family = CutFamily(3, StructureKind.cycle(4), "structure", (CubeCycle(3, (0, 1, 3, 2)),))
+    family = CutFamily(3, StructureKind("cycle", 4), "structure", (CubeCycle(3, (0, 1, 3, 2)),))
     assert validate_cut(family).status == NOT_A_CUT
 
 
 def test_validate_flags_malformed_element():
     # 7 and 4 differ in two bits, so the sequence is not a path
     bad = CubePath(3, (0, 1, 3, 7, 4))
-    family = CutFamily(3, StructureKind.path(5), "structure", (bad,))
+    family = CutFamily(3, StructureKind("path", 5), "structure", (bad,))
     verdict = validate_cut(family)
     assert verdict.status == MALFORMED
     assert verdict.element_index == 0
@@ -107,30 +110,30 @@ def test_validate_flags_malformed_element():
 
 def test_validate_structure_mode_wants_exact_size():
     short = CubePath(4, (0, 1, 3))
-    family = CutFamily(4, StructureKind.path(5), "structure", (short,))
+    family = CutFamily(4, StructureKind("path", 5), "structure", (short,))
     assert validate_cut(family).status == MALFORMED
-    family = CutFamily(4, StructureKind.path(5), "substructure", (short,))
+    family = CutFamily(4, StructureKind("path", 5), "substructure", (short,))
     assert validate_cut(family).status == NOT_A_CUT  # shape fine, just not a cut
 
 
 def test_validate_substructure_cycle_accepts_paths_and_full_cycles():
     cyc = CubeCycle(4, (0, 1, 3, 2))
     path = CubePath(4, (0, 1, 3))
-    fam = CutFamily(4, StructureKind.cycle(4), "substructure", (cyc, path))
+    fam = CutFamily(4, StructureKind("cycle", 4), "substructure", (cyc, path))
     assert validate_cut(fam).status in (VALID_CUT, NOT_A_CUT)
     # a 6-cycle element in a C_4 family is malformed in either mode
     six = CubeCycle(4, (0, 1, 3, 7, 5, 4))
-    fam = CutFamily(4, StructureKind.cycle(4), "substructure", (six,))
+    fam = CutFamily(4, StructureKind("cycle", 4), "substructure", (six,))
     assert validate_cut(fam).status == MALFORMED
 
 
 def test_validate_star_contracts():
     claw = CubeStar(4, 0, (1, 2, 4))
-    fam = CutFamily(4, StructureKind.star(3), "structure", (claw,))
+    fam = CutFamily(4, StructureKind("star", 3), "structure", (claw,))
     assert validate_cut(fam).status == NOT_A_CUT
-    fam = CutFamily(4, StructureKind.star(2), "structure", (claw,))
+    fam = CutFamily(4, StructureKind("star", 2), "structure", (claw,))
     assert validate_cut(fam).status == MALFORMED  # too many leaves
-    fam = CutFamily(4, StructureKind.star(3), "substructure", (CubeStar(4, 0, (1, 2)),))
+    fam = CutFamily(4, StructureKind("star", 3), "substructure", (CubeStar(4, 0, (1, 2)),))
     assert validate_cut(fam).status == NOT_A_CUT
 
 
@@ -154,7 +157,7 @@ def test_validate_agrees_with_bfs_on_constructions():
 
 def _vertex_family(n, verts):
     elements = tuple(CubePath(n, (v,)) for v in verts)
-    return CutFamily(n, StructureKind.vertex(), "structure", elements)
+    return CutFamily(n, StructureKind("vertex", 1), "structure", elements)
 
 
 @settings(max_examples=300)
@@ -181,7 +184,7 @@ def test_validate_cuts_and_non_cuts_at_the_edges():
 
 
 def test_validate_dimension_mismatch():
-    fam = CutFamily(4, StructureKind.path(3), "structure", (CubePath(3, (0, 1, 3)),))
+    fam = CutFamily(4, StructureKind("path", 3), "structure", (CubePath(3, (0, 1, 3)),))
     assert validate_cut(fam).status == MALFORMED
 
 

@@ -133,6 +133,18 @@ def test_construct_range_error_names_precondition(capsys):
     assert "n >= 5" in err
 
 
+@pytest.mark.parametrize("argv, bound", [
+    (("--n", "100000", "--kind", "path", "--k", "2"), "2^(n-1)"),
+    (("--n", "13000", "--kind", "path", "--k", "2"), "2^(n-1)"),
+    (("--n", "20", "--kind", "cycle", "--k", str((1 << 18) + 2)), "2^(n-2)"),
+])
+def test_construct_range_error_is_short_at_large_n(capsys, argv, bound):
+    code, _, err = run(capsys, "construct", *argv)
+    assert code == 2
+    assert bound in err and f"n = {argv[1]}" in err
+    assert len(err) < 200
+
+
 def test_construct_rejects_kind_without_builder(capsys):
     code, _, err = run(capsys, "construct", "--n", "4", "--kind", "star", "--k", "2")
     assert code == 2
@@ -314,6 +326,24 @@ def test_property_test_deterministic(capsys):
     _, second, _ = run(capsys, *args)
     assert first == second
     assert json.loads(first)["rows"][0]["status"] == "pass"
+
+
+@pytest.mark.parametrize("nmax", ["1", "-5", str(cli.MAX_SCAN_DIM + 1), "64"])
+def test_property_test_refuses_nmax_out_of_range(capsys, monkeypatch, nmax):
+    def scan(n):
+        raise AssertionError("scanned before refusing")
+
+    monkeypatch.setattr(cli.analysis, "scan_distance2_common_neighbors", scan)
+    code, out, err = run(capsys, "property-test", "--suite", "common-neighbors", "--nmax", nmax)
+    assert code == 2
+    assert out == ""
+    assert f"[2, {cli.MAX_SCAN_DIM}]" in err
+
+
+def test_property_test_scans_from_dimension_2(capsys):
+    code, out, _ = run(capsys, "property-test", "--suite", "common-neighbors", "--nmax", "2")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["detail"] == "exhaustive n <= 2"
 
 
 def test_usage_error_exit_code(capsys):

@@ -9,11 +9,10 @@ from hypercut.core import (
     adjacent,
     automorphism_vertex_tables,
     edge_mapping_automorphism,
-    hamming_distance,
     vertex_from_string,
     vertex_to_string,
 )
-from hypercut.embeddings import gray_hamiltonian
+from hypercut.embeddings import gray_sequence
 
 
 def test_neighbor_flips_single_bit():
@@ -41,17 +40,16 @@ def test_neighbor_is_involutive(n, data):
     assert cube.neighbors(cube.neighbors(v)[i])[i] == v
 
 
-def test_hamming_distance_examples():
-    assert hamming_distance(0, 0) == 0
-    assert hamming_distance(0, 3) == 2  # 000 vs 110
-    assert hamming_distance(0b1010, 0b0101) == 4
+def _string_distance(u, v, n):
+    """Hamming distance of the rendered coordinate strings, independent of label XOR."""
+    return sum(a != b for a, b in zip(vertex_to_string(u, n), vertex_to_string(v, n)))
 
 
 def test_adjacency_iff_distance_one_exhaustive_q3():
     cube = Cube(3)
     for u in cube.vertices():
         for v in cube.vertices():
-            assert adjacent(u, v) == (hamming_distance(u, v) == 1)
+            assert adjacent(u, v) == (_string_distance(u, v, 3) == 1)
             assert (v in cube.neighbors(u)) == adjacent(u, v)
 
 
@@ -81,7 +79,7 @@ def test_common_neighbors_exhaustive_small():
         cube = Cube(n)
         for v in cube.vertices():
             for u in cube.vertices():
-                if hamming_distance(u, v) == 2:
+                if _string_distance(u, v, n) == 2:
                     assert len(cube.common_neighbors(u, v)) == 2
 
 
@@ -183,12 +181,12 @@ def test_edge_mapping_composed_with_gray_cycle():
     # mapping the Gray cycle by an edge automorphism lands the target edge on the image cycle
     rng = random.Random(11)
     n = 5
-    base = gray_hamiltonian(n)
+    base = gray_sequence(n)
     for _ in range(25):
         a = rng.randrange(1 << n)
         b = a ^ (1 << rng.randrange(n))
         sigma = edge_mapping_automorphism(n, (0, 1), (a, b))
-        image = [sigma.apply(v) for v in base.verts]
+        image = [sigma.apply(v) for v in base]
         pos = image.index(a)
         k = len(image)
         assert b in (image[(pos + 1) % k], image[(pos - 1) % k])

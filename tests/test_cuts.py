@@ -1,3 +1,6 @@
+import tracemalloc
+from fractions import Fraction
+
 import pytest
 
 from hypercut.analysis import validate_cut
@@ -7,31 +10,34 @@ from hypercut.cuts import (
     CutFamily,
     StructureKind,
     _extended_path,
+    at_most_power_of_two,
     build_cycle_cut,
     build_path_cut,
+    check_cycle_cut,
+    check_path_cut,
 )
 from hypercut.embeddings import (
     canonical_cycle_orientation,
     gray_sequence,
     hamiltonian_through_edge,
 )
-from hypercut.formulas import kappa_path
+from hypercut.formulas import kappa_cycle, kappa_path
 
 
 def test_structure_kind_validation():
-    assert StructureKind.path(1).size == 1
-    assert StructureKind.cycle(6).label() == "C6"
-    assert StructureKind.star(3).label() == "K1,3"
-    assert StructureKind.vertex().label() == "K1"
-    assert StructureKind.edge().label() == "K1,1"
+    assert StructureKind("path", 1).size == 1
+    assert StructureKind("cycle", 6).label() == "C6"
+    assert StructureKind("star", 3).label() == "K1,3"
+    assert StructureKind("vertex", 1).label() == "K1"
+    assert StructureKind("edge", 2).label() == "K1,1"
     with pytest.raises(ValueError):
-        StructureKind.cycle(5)
+        StructureKind("cycle", 5)
     with pytest.raises(ValueError):
-        StructureKind.cycle(2)
+        StructureKind("cycle", 2)
     with pytest.raises(ValueError):
-        StructureKind.star(1)
+        StructureKind("star", 1)
     with pytest.raises(ValueError):
-        StructureKind.path(0)
+        StructureKind("path", 0)
     with pytest.raises(ValueError):
         StructureKind("blob", 3)
 
@@ -200,6 +206,25 @@ def test_cycle_cut_rejections():
         build_cycle_cut(5, 10)  # above 2^(n-2)
 
 
+def test_at_most_power_of_two_matches_exact_comparison():
+    for m in range(-2, 9):
+        for k in range(-3, 300):
+            assert at_most_power_of_two(k, m) == (k <= Fraction(2) ** m), (k, m)
+
+
+def test_range_checks_do_not_build_two_to_the_n():
+    # 2^(n-1) at n = 10^9 is a 125 MB integer
+    n = 10**9
+    for check, k in ((check_path_cut, 5), (check_cycle_cut, 10), (kappa_path, 5), (kappa_cycle, 10)):
+        tracemalloc.start()
+        try:
+            check(n, k)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, (check.__name__, peak)
+
+
 def test_overlapping_windows_still_exact_paths():
     # shifted last window shares vertices with its predecessor but stays a P_k
     family = build_path_cut(5, 3)
@@ -210,4 +235,4 @@ def test_overlapping_windows_still_exact_paths():
 
 def test_cut_family_mode_validation():
     with pytest.raises(ValueError):
-        CutFamily(3, StructureKind.path(3), "nonsense", ())
+        CutFamily(3, StructureKind("path", 3), "nonsense", ())

@@ -8,7 +8,6 @@ from hypercut.embeddings import (
     CubeCycle,
     CubePath,
     embed_even_cycle,
-    gray_hamiltonian,
     gray_sequence,
     gray_walk_from_edge,
     hamiltonian_through_edge,
@@ -20,12 +19,12 @@ from hypercut.embeddings import (
 
 
 def test_gray_hamiltonian_base_case():
-    assert gray_hamiltonian(2).verts == (0, 1, 3, 2)  # 00, 10, 11, 01
+    assert gray_sequence(2) == [0, 1, 3, 2]  # 00, 10, 11, 01
 
 
 def test_gray_hamiltonian_invariants():
-    for n in (3, 10):
-        cycle = gray_hamiltonian(n)
+    for n in (2, 3, 10):
+        cycle = CubeCycle(n, tuple(gray_sequence(n)))
         assert cycle.violation() is None
         assert len(cycle.verts) == 1 << n
         assert len(set(cycle.verts)) == 1 << n
@@ -41,7 +40,7 @@ def test_gray_successive_xor_is_power_of_two():
 
 def test_gray_rejects_small_dimension():
     with pytest.raises(ValueError):
-        gray_hamiltonian(1)
+        hamiltonian_through_edge(1, (0, 1))
 
 
 def test_gray_walk_from_edge_is_the_mapped_gray_cycle():
@@ -120,7 +119,7 @@ def test_embed_even_cycle_q3_l6():
 
 def test_embed_even_cycle_full_length_matches_gray():
     for n in range(2, 7):
-        assert len(embed_even_cycle(n, 1 << n).verts) == len(gray_hamiltonian(n).verts)
+        assert len(embed_even_cycle(n, 1 << n).verts) == len(gray_sequence(n))
 
 
 def test_embed_even_cycle_q4_l10():
@@ -255,7 +254,7 @@ def test_all_cycles_have_even_length():
     # bipartiteness: no constructor can produce an odd cycle
     assert CubeCycle(3, (0, 1, 3)).violation() is not None
     for n in range(2, 6):
-        assert len(gray_hamiltonian(n).verts) % 2 == 0
+        assert len(gray_sequence(n)) % 2 == 0
         for l in range(4, (1 << n) + 1, 2):
             assert len(embed_even_cycle(n, l).verts) % 2 == 0
 

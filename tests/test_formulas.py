@@ -4,7 +4,6 @@ from hypercut.cuts import StructureKind
 from hypercut.formulas import (
     KappaValue,
     NotCoveredError,
-    kappa_c6_lower_bound,
     kappa_cycle,
     kappa_g_extra_formula,
     kappa_baseline,
@@ -103,21 +102,21 @@ def test_kappa_power_of_two_agrees_with_cycle_engine():
 
 
 def test_kappa_baseline_values():
-    assert kappa_baseline(5, StructureKind.vertex()).value == 5
-    assert kappa_baseline(5, StructureKind.edge()).value == 4
-    assert kappa_baseline(5, StructureKind.star(2)).value == 3
-    assert kappa_baseline(5, StructureKind.star(3)).value == 3
-    assert kappa_baseline(5, StructureKind.cycle(4)).value == 3
-    assert kappa_baseline(5, StructureKind.cycle(4), "substructure").value == 3
-    assert kappa_baseline(6, StructureKind.cycle(4), "substructure").value == 3
-    assert kappa_baseline(6, StructureKind.cycle(4), "structure").value == 4
+    assert kappa_baseline(5, StructureKind("vertex", 1)).value == 5
+    assert kappa_baseline(5, StructureKind("edge", 2)).value == 4
+    assert kappa_baseline(5, StructureKind("star", 2)).value == 3
+    assert kappa_baseline(5, StructureKind("star", 3)).value == 3
+    assert kappa_baseline(5, StructureKind("cycle", 4)).value == 3
+    assert kappa_baseline(5, StructureKind("cycle", 4), "substructure").value == 3
+    assert kappa_baseline(6, StructureKind("cycle", 4), "substructure").value == 3
+    assert kappa_baseline(6, StructureKind("cycle", 4), "structure").value == 4
 
 
 def test_kappa_baseline_range_errors():
     with pytest.raises(NotCoveredError):
-        kappa_baseline(3, StructureKind.vertex())
+        kappa_baseline(3, StructureKind("vertex", 1))
     with pytest.raises(NotCoveredError):
-        kappa_baseline(5, StructureKind.cycle(6))
+        kappa_baseline(5, StructureKind("cycle", 6))
 
 
 def test_g_extra_formula_values():
@@ -143,11 +142,13 @@ def test_g_extra_formula_range_errors():
 
 
 def test_c6_lower_bound():
-    assert kappa_c6_lower_bound(4) == 2
-    assert kappa_c6_lower_bound(6) == 2
-    assert kappa_c6_lower_bound(7) == 3
+    # ceil(2n/6) is ceil(n/3), the 6-cycle lower bound, at every n >= 4
+    assert kappa_cycle(4, 6).value == 2
+    assert kappa_cycle(6, 6).value == 2
+    assert kappa_cycle(7, 6).value == 3
+    assert all(kappa_cycle(n, 6).value == -(-n // 3) for n in range(4, 64))
     with pytest.raises(NotCoveredError):
-        kappa_c6_lower_bound(3)
+        kappa_cycle(3, 6)
 
 
 def test_budengs_sweep():
