@@ -24,7 +24,7 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from . import analysis, cuts, formulas
+from . import analysis, cuts, formulas, oracle
 from .analysis import components_after_removal, validate_cut
 from .core import Cube, vertex_to_string
 from .cuts import CutElement, CutFamily, StructureKind, build_cycle_cut, build_path_cut
@@ -45,6 +45,9 @@ MAX_DOT_DIM = 8
 # The largest property-test --nmax: the common-neighbour scan takes 2^n * C(n, 2)
 # steps, which came to 7-8 s at --nmax 14 and about 5.5 times that at 16 on 2 vCPUs.
 MAX_SCAN_DIM = 14
+# The largest property-test --n: cycle-bound samples cycles by closing random walks, and
+# --trials 200 took 1.3 / 2.0 / 3.8 / 6.5 s at n = 20 / 24 / 28 / 32 on 2 vCPUs.
+MAX_SAMPLE_DIM = 24
 
 _PALETTE = (
     "#66c2a5", "#fc8d62", "#8da0cb", "#e78ac3",
@@ -358,6 +361,8 @@ _SCOPES = {
     "budengs": (_verify_budengs, 64),
     "g-extra": (_verify_g_extra, None),
 }
+# the largest --nmax, the largest scope default (budengs): scope all took 5.5 s there on 2 vCPUs
+MAX_VERIFY_NMAX = max(default for _, default in _SCOPES.values() if default)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -366,6 +371,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     start = time.perf_counter()
     if args.nmax is not None and args.nmax < 3:
         raise ValueError(f"--nmax must be at least 3, got {args.nmax}")
+    if args.nmax is not None and args.nmax > MAX_VERIFY_NMAX:
+        raise ValueError(f"--nmax must be at most {MAX_VERIFY_NMAX}, got {args.nmax}")
     report = RunReport("verify", {"scope": args.scope, "nmax": args.nmax, "jobs": args.jobs})
     for scope in scopes:
         build_rows, default_nmax = _SCOPES[scope]
@@ -433,6 +440,8 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 def cmd_property_test(args: argparse.Namespace) -> int:
     if not 2 <= args.nmax <= MAX_SCAN_DIM:
         raise ValueError(f"--nmax must be in [2, {MAX_SCAN_DIM}], got {args.nmax}")
+    if args.n > MAX_SAMPLE_DIM:
+        raise ValueError(f"--n must be at most {MAX_SAMPLE_DIM}, got {args.n}")
     suites = ["common-neighbors", "path-bound", "cycle-bound"] if args.suite == "all" else [args.suite]
     rng = random.Random(args.seed)
     start = time.perf_counter()
@@ -508,6 +517,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    oracle.pool_block.cache_clear()  # each command pays for its own pools, as a fresh process would
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -254,15 +254,15 @@ def random_embedded_path(n: int, k: int, rng: random.Random, max_attempts: int =
     for _ in range(max_attempts):
         v = rng.randrange(size)
         verts = [v]
-        used = 1 << v
+        used = {v}  # a set, not a 2^n-bit mask, so a step costs O(n) at any n
         while len(verts) < k:
             options = [verts[-1] ^ (1 << i) for i in range(n)]
-            options = [w for w in options if not used & (1 << w)]
+            options = [w for w in options if w not in used]
             if not options:
                 break
             w = rng.choice(options)
             verts.append(w)
-            used |= 1 << w
+            used.add(w)
         if len(verts) == k:
             return CubePath(n, tuple(verts))
     raise RuntimeError(f"no path on {k} vertices found in {max_attempts} attempts")

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 from typing import Mapping
 
@@ -112,9 +113,10 @@ def _enumerate_walks(n: int, k: int, closed: bool) -> list[CubePath] | list[Cube
                 out.append(CubePath(n, tuple(seq)))
             return
         v = seq[-1]
+        reach = k - len(seq) if closed else n  # a cycle must get back to its start in time
         for i in range(n):
             w = v ^ (1 << i)
-            if w > floor and not used >> w & 1:
+            if w > floor and not used >> w & 1 and (w ^ seq[0]).bit_count() <= reach:
                 seq.append(w)
                 dfs(seq, used | (1 << w))
                 seq.pop()
@@ -139,29 +141,64 @@ def enumerate_copies(n: int, kind: StructureKind, mode: str = STRUCTURE) -> list
 
     The pool is sorted by shape (paths, cycles, stars), then by vertex tuple.
     """
-    pool: list[CutElement] = []
-    for shape, size in admissible_shapes(kind, mode):
-        pool += _enumerate_stars(n, size) if shape == "star" else _enumerate_walks(n, size, shape == "cycle")
-    pool.sort(key=_shape_key)
-    return pool
+    return _pool(n, kind, mode)[0]
 
 
-def _orbit_partition(pool: list[CutElement], n: int) -> tuple[list[int], list[int]]:
-    """Assign each pool element its automorphism orbit index; return (orbit_of, reps).
+@lru_cache(maxsize=None)
+def pool_block(n: int, shape: str, size: int) -> tuple[tuple[CutElement, ...], tuple[int, ...], tuple[int, ...]]:
+    """Every element of one (shape, size), sorted by vertex tuple: (elements, masks, orbit_of).
 
-    Orbits are discovered in pool order and expanded by applying the whole
-    group to each fresh representative, so the cost scales with the number
-    of orbits, not the pool size.
+    An automorphism keeps an element's shape and size, so the orbits of a
+    pool never cross its blocks and each block is partitioned alone.  The
+    cache lives for one command: cli.main clears it as it starts.
+    """
+    els = _enumerate_stars(n, size) if shape == "star" else _enumerate_walks(n, size, shape == "cycle")
+    els.sort(key=_shape_key)
+    masks = tuple(sum(1 << v for v in el.verts) for el in els)
+    return tuple(els), masks, tuple(_orbit_partition(els, n))
+
+
+def _pool(n: int, kind: StructureKind, mode: str) -> tuple[list[CutElement], list[int], list[int], list[int]]:
+    """The (kind, mode) pool from its blocks: (elements, masks, orbit_of, reps).
+
+    Blocks are merged in _shape_key order and orbits numbered by first
+    appearance, which is what partitioning the whole pool would give.
+    """
+    shapes = admissible_shapes(kind, mode)
+    els: list[CutElement] = []
+    masks: list[int] = []
+    tagged: list[int] = []  # block-local orbits shifted past the orbits of earlier blocks
+    shift = 0
+    for shape, size in shapes:
+        block_els, block_masks, block_orbits = pool_block(n, shape, size)
+        els += block_els
+        masks += block_masks
+        tagged += [o + shift for o in block_orbits]
+        shift += max(block_orbits, default=-1) + 1
+    if len(shapes) > 1:
+        order = sorted(range(len(els)), key=lambda i: _shape_key(els[i]))
+        els, masks, tagged = [els[i] for i in order], [masks[i] for i in order], [tagged[i] for i in order]
+    first: dict[int, int] = {}  # each orbit's first pool index, in order of first appearance
+    for i, o in enumerate(tagged):
+        first.setdefault(o, i)
+    number = {o: j for j, o in enumerate(first)}
+    return els, masks, [number[o] for o in tagged], list(first.values())
+
+
+def _orbit_partition(block: list[CutElement], n: int) -> list[int]:
+    """Each element's automorphism orbit index, numbered by first appearance.
+
+    Orbits are expanded by applying the whole group to each fresh
+    representative, so the cost scales with the number of orbits, not the
+    block size.  The block must hold every image of its elements.
     """
     tables = automorphism_vertex_tables(n)
-    index = {_shape_key(el): i for i, el in enumerate(pool)}
-    orbit_of = [-1] * len(pool)
-    reps: list[int] = []
+    index = {_shape_key(el): i for i, el in enumerate(block)}
+    orbit_of = [-1] * len(block)
     next_orbit = 0
-    for idx, el in enumerate(pool):
+    for idx, el in enumerate(block):
         if orbit_of[idx] >= 0:
             continue
-        reps.append(idx)
         for table in tables:
             j = index.get(_canon_image(el, table))
             if j is None:
@@ -169,7 +206,7 @@ def _orbit_partition(pool: list[CutElement], n: int) -> tuple[list[int], list[in
             if orbit_of[j] < 0:
                 orbit_of[j] = next_orbit
         next_orbit += 1
-    return orbit_of, reps
+    return orbit_of
 
 
 def default_family_size(n: int) -> int:
@@ -309,16 +346,9 @@ def min_structure_cut(
     """
     budget = budget or SearchBudget()
     _check_budget(n, kind, budget)
-    pool = enumerate_copies(n, kind, mode)
+    pool, masks, orbit_of, reps = _pool(n, kind, mode)
     if not pool:
         raise ValueError(f"no embedded copies of {kind.label()} exist in Q_{n}")
-    masks = []
-    for el in pool:
-        m = 0
-        for v in el.verts:
-            m |= 1 << v
-        masks.append(m)
-    orbit_of, reps = _orbit_partition(pool, n)
     stats = {
         "copies": len(pool),
         "orbits": len(reps),

@@ -268,6 +268,19 @@ def test_verify_nmax_below_three_exits_2(capsys):
         assert f"--nmax must be at least 3, got {nmax}" in err
 
 
+@pytest.mark.parametrize("nmax", [str(cli.MAX_VERIFY_NMAX + 1), "100000"])
+def test_verify_nmax_above_ceiling_exits_2(capsys, monkeypatch, nmax):
+    def build_rows(nmax, ceiling, jobs):
+        raise AssertionError("rows built before refusing")
+
+    monkeypatch.setitem(cli._SCOPES, "budengs", (build_rows, 64))
+    for scope in ("budengs", "all"):
+        code, out, err = run(capsys, "verify", "--scope", scope, "--nmax", nmax)
+        assert code == 2
+        assert out == ""
+        assert f"--nmax must be at most 64, got {nmax}" in err
+
+
 def test_verify_power_of_two_table(capsys):
     code, out, _ = run(capsys, "verify", "--scope", "power-of-two", "--nmax", "6")
     assert code == 0
@@ -338,6 +351,28 @@ def test_property_test_refuses_nmax_out_of_range(capsys, monkeypatch, nmax):
     assert code == 2
     assert out == ""
     assert f"[2, {cli.MAX_SCAN_DIM}]" in err
+
+
+@pytest.mark.parametrize("suite", ["path-bound", "cycle-bound", "all"])
+def test_property_test_refuses_n_above_ceiling(capsys, monkeypatch, suite):
+    def sample(*args):
+        raise AssertionError("sampled before refusing")
+
+    monkeypatch.setattr(cli.analysis, "run_path_bound_trials", sample)
+    monkeypatch.setattr(cli.analysis, "run_cycle_bound_trials", sample)
+    monkeypatch.setattr(cli.analysis, "scan_distance2_common_neighbors", sample)
+    for n in (str(cli.MAX_SAMPLE_DIM + 1), "1000000000"):
+        code, out, err = run(capsys, "property-test", "--suite", suite, "--n", n)
+        assert code == 2
+        assert out == ""
+        assert f"--n must be at most {cli.MAX_SAMPLE_DIM}, got {n}" in err
+
+
+def test_property_test_samples_at_the_ceiling(capsys):
+    code, out, _ = run(capsys, "property-test", "--suite", "path-bound",
+                       "--n", str(cli.MAX_SAMPLE_DIM), "--trials", "50")
+    assert code == 0
+    assert json.loads(out)["rows"][0]["status"] == "pass"
 
 
 def test_property_test_scans_from_dimension_2(capsys):

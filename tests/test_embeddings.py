@@ -283,3 +283,26 @@ def test_path_violations_reported():
     assert CubePath(3, (0, 1, 0)).violation() is not None
     assert CubePath(2, (0, 4)).violation() is not None
     assert CubePath(3, (0, 1, 3)).violation() is None
+
+
+def _bitmask_random_path(n, k, rng):
+    """The sampler's draws with the used vertices kept as a 2^n-bit mask, as it once did."""
+    while True:
+        verts = [rng.randrange(1 << n)]
+        used = 1 << verts[0]
+        while len(verts) < k:
+            options = [w for w in (verts[-1] ^ (1 << i) for i in range(n)) if not used & (1 << w)]
+            if not options:
+                break
+            verts.append(rng.choice(options))
+            used |= 1 << verts[-1]
+        if len(verts) == k:
+            return tuple(verts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_random_path_draws_match_bitmask_sampler(n, seed, data):
+    k = data.draw(st.integers(1, min(1 << n, 12)))
+    got = random_embedded_path(n, k, random.Random(seed)).verts
+    assert got == _bitmask_random_path(n, k, random.Random(seed))

@@ -1,14 +1,20 @@
+from collections import Counter
 from itertools import combinations
+from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from hypercut import cli, oracle
 from hypercut.analysis import is_disconnecting_mask, validate_cut
-from hypercut.cuts import StructureKind, build_path_cut
+from hypercut.core import Automorphism, automorphism_vertex_tables
+from hypercut.cuts import StructureKind, admissible_shapes, build_path_cut
 from hypercut.oracle import (
     BudgetError,
     SearchBudget,
     enumerate_copies,
     min_structure_cut,
+    pool_block,
 )
 
 
@@ -196,3 +202,166 @@ def test_orbit_statistics_reported():
     assert result.stats["copies"] == 24
     assert result.stats["orbits"] >= 1
     assert result.stats["cut_tests"] > 0
+
+
+# --- pools built from cached blocks ---
+
+_SHAPE_RANK = {"path": 0, "cycle": 1, "star": 2}
+
+
+def _key(shape, verts):
+    """(shape rank, canonical vertex tuple) of an element given by its raw image."""
+    if shape == "cycle":
+        start = verts.index(min(verts))
+        fwd = verts[start:] + verts[:start]
+        verts = min(fwd, fwd[:1] + fwd[:0:-1])
+    elif shape == "star":
+        verts = verts[:1] + tuple(sorted(verts[1:]))
+    elif verts[0] > verts[-1]:
+        verts = verts[::-1]
+    return (_SHAPE_RANK[shape], verts)
+
+
+def _whole_pool_partition(pool, n):
+    """The orbit partition of a whole pool at once, as the oracle did before blocks: (orbit_of, reps)."""
+    index = {_key(el.shape, el.verts): i for i, el in enumerate(pool)}
+    orbit_of = [-1] * len(pool)
+    reps = []
+    for idx, el in enumerate(pool):
+        if orbit_of[idx] >= 0:
+            continue
+        for table in automorphism_vertex_tables(n):
+            j = index[_key(el.shape, tuple(table[v] for v in el.verts))]
+            if orbit_of[j] < 0:
+                orbit_of[j] = len(reps)
+        reps.append(idx)
+    return orbit_of, reps
+
+
+def _kinds(n):
+    yield StructureKind("vertex", 1)
+    yield StructureKind("edge", 2)
+    for r in range(2, n + 1):
+        yield StructureKind("star", r)
+    for k in range(3, 9):
+        yield StructureKind("path", k)
+    for k in (4, 6, 8):
+        yield StructureKind("cycle", k)
+
+
+# every admissible (kind, mode) at n = 3, 4, and the kinds sanctioned at n = 5; the
+# Q5 C8 substructure pool (333,872 copies, about 4 s to build) is left out for time
+_POOL_CASES = (
+    [(n, kind, mode) for n in (3, 4) for kind in _kinds(n) for mode in ("structure", "substructure")]
+    + [(5, StructureKind(name, k), mode)
+       for name, k in (("path", 1), ("path", 2), ("path", 3), ("path", 4), ("cycle", 4))
+       for mode in ("structure", "substructure")]
+    + [(5, StructureKind("cycle", 8), "structure")]
+)
+
+
+@pytest.mark.parametrize("n,kind,mode", _POOL_CASES,
+                         ids=[f"Q{n}-{kind.label()}-{mode}" for n, kind, mode in _POOL_CASES])
+def test_block_built_pool_matches_whole_pool_partition(n, kind, mode):
+    pool = []
+    for shape, size in admissible_shapes(kind, mode):
+        if shape == "star":
+            pool += oracle._enumerate_stars(n, size)
+        else:
+            pool += oracle._enumerate_walks(n, size, shape == "cycle")
+    pool.sort(key=lambda el: (_SHAPE_RANK[el.shape], el.verts))
+    orbit_of, reps = _whole_pool_partition(pool, n)
+    masks = [sum(1 << v for v in el.verts) for el in pool]
+
+    els, got_masks, got_orbit_of, got_reps = oracle._pool(n, kind, mode)
+    assert els == pool
+    assert got_masks == masks
+    assert got_orbit_of == orbit_of
+    assert got_reps == reps
+
+
+_BLOCKS = [(n, shape, size) for n in (3, 4)
+           for shape, size in [("path", k) for k in range(1, 9)] + [("cycle", k) for k in (4, 6, 8)]
+           + [("star", r) for r in range(2, n + 1)]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(block=st.sampled_from(_BLOCKS), data=st.data())
+def test_block_orbits_closed_under_random_automorphism(block, data):
+    n, shape, size = block
+    els, _, orbit_of = pool_block(n, shape, size)
+    perm = data.draw(st.permutations(range(n)))
+    table = Automorphism(n, tuple(perm), data.draw(st.integers(0, (1 << n) - 1))).vertex_table()
+    index = {el.verts: i for i, el in enumerate(els)}
+    for i, el in enumerate(els):
+        j = index[_key(shape, tuple(table[v] for v in el.verts))[1]]
+        assert orbit_of[j] == orbit_of[i]
+
+
+@settings(max_examples=30, deadline=None)
+@given(block=st.sampled_from(_BLOCKS))
+def test_block_orbit_sizes_divide_group_order(block):
+    n, shape, size = block
+    group_order = (1 << n) * factorial(n)
+    for orbit_size in Counter(pool_block(n, shape, size)[2]).values():
+        assert group_order % orbit_size == 0
+
+
+def _unpruned_cycles(n, k):
+    """Every k-cycle of Q_n once, by a DFS from each cycle minimum with no distance pruning."""
+    found = set()
+
+    def dfs(seq, used):
+        if len(seq) == k:
+            if (seq[-1] ^ seq[0]).bit_count() == 1:
+                found.add(_key("cycle", tuple(seq))[1])
+            return
+        for i in range(n):
+            w = seq[-1] ^ (1 << i)
+            if w > seq[0] and w not in used:
+                dfs(seq + [w], used | {w})
+
+    for v in range(1 << n):
+        dfs([v], {v})
+    return found
+
+
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(2, 5), k=st.sampled_from([4, 6, 8]))
+def test_pruned_cycle_enumeration_matches_unpruned_dfs(n, k):
+    cycles = [c.verts for c in oracle._enumerate_walks(n, k, True)]
+    assert len(cycles) == len(set(cycles))
+    assert set(cycles) == (_unpruned_cycles(n, k) if k <= 1 << n else set())
+
+
+def test_enumerate_copies_returns_a_fresh_list():
+    first = enumerate_copies(3, StructureKind("path", 3), "substructure")
+    expected = list(first)
+    first.clear()
+    assert enumerate_copies(3, StructureKind("path", 3), "substructure") == expected
+
+
+def test_cached_block_is_made_of_tuples():
+    block = pool_block(3, "cycle", 4)
+    assert isinstance(block, tuple)
+    assert all(isinstance(part, tuple) for part in block)
+    assert len({len(part) for part in block}) == 1
+
+
+def test_each_cli_command_starts_from_an_empty_block_cache(monkeypatch, capsys):
+    seen = []
+    search = cli.min_structure_cut
+
+    def traced(*args, **kwargs):
+        seen.append(pool_block.cache_info().currsize)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "min_structure_cut", traced)
+    pool_block(3, "path", 3)  # left over from an earlier caller
+    argv = ["oracle", "--n", "3", "--kind", "path", "--k", "3", "--mode", "substructure"]
+    for _ in range(2):
+        assert cli.main(argv) == 0
+        info = pool_block.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (3, 0, 3)  # P1, P2 and P3, each built here
+    capsys.readouterr()
+    assert seen == [0, 0]
