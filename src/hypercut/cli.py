@@ -16,12 +16,9 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
 import time
-from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import analysis, cuts, formulas, oracle
@@ -48,24 +45,14 @@ MAX_SCAN_DIM = 14
 # The largest property-test --n: cycle-bound samples cycles by closing random walks, and
 # --trials 200 took 1.3 / 2.0 / 3.8 / 6.5 s at n = 20 / 24 / 28 / 32 on 2 vCPUs.
 MAX_SAMPLE_DIM = 24
+# The largest property-test --trials, the default: sampling is linear in it, and at --n 24
+# cycle-bound took 1.7 / 8.4 s for 200 / 1,000 trials and suite all 88 s at the cap on 2 vCPUs.
+MAX_TRIALS = 10_000
 
 _PALETTE = (
     "#66c2a5", "#fc8d62", "#8da0cb", "#e78ac3",
     "#a6d854", "#ffd92f", "#e5c494", "#b3b3b3",
 )
-
-
-def _oracle_ceiling() -> int:
-    raw = os.environ.get("HYPERCUT_MAX_DIM")
-    if raw is None:
-        return MAX_SEARCH_DIM
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"HYPERCUT_MAX_DIM must be an integer, got {raw!r}") from exc
-    if value > MAX_SEARCH_DIM:
-        raise ValueError(f"HYPERCUT_MAX_DIM above {MAX_SEARCH_DIM} is rejected, got {value}")
-    return value
 
 
 def _element_payload(el: CutElement, n: int) -> dict:
@@ -107,13 +94,12 @@ class RunReport:
     """Result table of a verification-style run.
 
     Timing is kept out of the machine-readable payload so deterministic
-    commands stay byte-stable; it is printed to stderr instead.
+    commands stay byte-stable; main prints it to stderr instead.
     """
 
     command: str
     parameters: dict
     rows: list[dict] = field(default_factory=list)
-    elapsed_s: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -151,8 +137,7 @@ def _emit_report(report: RunReport, fmt: str, out: str | None) -> None:
     summary = report.summary()
     print(
         f"[hypercut] {report.command}: {summary['passed']} passed, "
-        f"{summary['failed']} failed, {summary['skipped']} skipped "
-        f"in {report.elapsed_s:.2f}s",
+        f"{summary['failed']} failed, {summary['skipped']} skipped",
         file=sys.stderr,
     )
 
@@ -226,9 +211,8 @@ def _row(scope: str, check: str, status: str, detail: str = "", **params) -> dic
     return row
 
 
-def _construction_row(spec: tuple[str, int, int]) -> dict:
+def _construction_row(shape: str, n: int, k: int) -> dict:
     """Build one family and compare it against the validator and the formula."""
-    shape, n, k = spec
     if shape == "path":
         family = build_path_cut(n, k)
         expected = formulas.kappa_path(n, k).value
@@ -263,58 +247,37 @@ def _oracle_value_row(
                 n=n, k=kind.size, mode=mode, expected=expected, actual=result.value)
 
 
-def _oracle_rows(scope: str, cases: list[dict], ceiling: int, rows_at) -> list[dict]:
-    """rows_at(**case) for each case; a case whose n is above the ceiling gives one skipped row."""
+def _verify_paths(nmax: int) -> list[dict]:
+    rows = [_oracle_value_row("paths", n, StructureKind("path", k), mode,
+                              formulas.kappa_path(n, k).value, SearchBudget())
+            for n in range(3, min(nmax, 4) + 1)
+            for k in range(3, (1 << (n - 1)) + 1)
+            for mode in ("structure", "substructure")]
+    return rows + [_construction_row("path", n, k)
+                   for n in range(3, nmax + 1)
+                   for k in range(3, min(1 << (n - 1), 256) + 1)]
+
+
+def _verify_cycles(nmax: int) -> list[dict]:
     rows = []
-    for case in cases:
-        if case["n"] > ceiling:
-            rows.append(_row(scope, "oracle-vs-formula", "skipped",
-                             f"dimension {case['n']} above oracle ceiling", **case))
-        else:
-            rows.extend(rows_at(**case))
-    return rows
-
-
-def _verify_paths(nmax: int, ceiling: int, jobs: int) -> list[dict]:
-    def rows_at(n: int) -> list[dict]:
-        return [_oracle_value_row("paths", n, StructureKind("path", k), mode,
-                                  formulas.kappa_path(n, k).value, SearchBudget())
-                for k in range(3, (1 << (n - 1)) + 1)
-                for mode in ("structure", "substructure")]
-
-    rows = _oracle_rows("paths", [{"n": n} for n in range(3, min(nmax, 4) + 1)], ceiling, rows_at)
-    specs = [("path", n, k)
-             for n in range(3, nmax + 1)
-             for k in range(3, min(1 << (n - 1), 256) + 1)]
-    return rows + _map_rows(_construction_row, specs, jobs)
-
-
-def _verify_cycles(nmax: int, ceiling: int, jobs: int) -> list[dict]:
-    def rows_at(n: int) -> Iterator[dict]:
+    for n in range(3, min(nmax, 4) + 1):
         for k in range(4, (1 << (n - 1)) + 1, 2):
             kind = StructureKind("cycle", k)
             sub = formulas.kappa_cycle(n, k, "substructure")
-            yield _oracle_value_row("cycles", n, kind, "substructure", sub.value, SearchBudget())
+            rows.append(_oracle_value_row("cycles", n, kind, "substructure", sub.value, SearchBudget()))
             struct = formulas.kappa_cycle(n, k, "structure")
-            yield _oracle_value_row("cycles", n, kind, "structure", struct.value,
-                                    SearchBudget(), bound_only=not struct.is_exact)
-
-    rows = _oracle_rows("cycles", [{"n": n} for n in (3, 4) if n <= nmax], ceiling, rows_at)
-    specs = [("cycle", n, k)
-             for n in range(5, nmax + 1)
-             for k in range(6, min(1 << (n - 2), 256) + 1, 2)]
-    return rows + _map_rows(_construction_row, specs, jobs)
+            rows.append(_oracle_value_row("cycles", n, kind, "structure", struct.value,
+                                          SearchBudget(), bound_only=not struct.is_exact))
+    return rows + [_construction_row("cycle", n, k)
+                   for n in range(5, nmax + 1)
+                   for k in range(6, min(1 << (n - 2), 256) + 1, 2)]
 
 
-def _verify_power_of_two(nmax: int, ceiling: int, jobs: int) -> list[dict]:
-    def rows_at(n: int, m: int, expected: int) -> list[dict]:
-        budget = SearchBudget(max_family_size=3, max_dimension=5)
-        return [_oracle_value_row("power-of-two", n, StructureKind("cycle", 1 << m),
-                                  "structure", expected, budget) | {"m": m}]
-
-    cases = [{"n": n, "m": m, "expected": formulas.kappa_power_of_two_cycle(n, m).value}
-             for n, m in ((4, 2), (5, 2), (5, 3))]
-    rows = _oracle_rows("power-of-two", cases, ceiling, rows_at)
+def _verify_power_of_two(nmax: int) -> list[dict]:
+    budget = SearchBudget(max_family_size=3, max_dimension=MAX_SEARCH_DIM)
+    rows = [_oracle_value_row("power-of-two", n, StructureKind("cycle", 1 << m), "structure",
+                              formulas.kappa_power_of_two_cycle(n, m).value, budget) | {"m": m}
+            for n, m in ((4, 2), (5, 2), (5, 3))]
     # kappa_power_of_two_cycle itself raises where the general cycle value disagrees
     for n in range(4, nmax + 1):
         for m in range(2, n - 1):
@@ -326,7 +289,7 @@ def _verify_power_of_two(nmax: int, ceiling: int, jobs: int) -> list[dict]:
     return rows
 
 
-def _verify_budengs(nmax: int, ceiling: int, jobs: int) -> list[dict]:
+def _verify_budengs(nmax: int) -> list[dict]:
     violations = formulas.verify_budengs_inequality(nmax)
     status = "pass" if not violations else "fail"
     return [_row("budengs", "inequality-sweep", status,
@@ -334,25 +297,18 @@ def _verify_budengs(nmax: int, ceiling: int, jobs: int) -> list[dict]:
                  n=nmax, expected=0, actual=len(violations))]
 
 
-def _verify_g_extra(nmax: int, ceiling: int, jobs: int) -> list[dict]:
-    def rows_at(n: int) -> Iterator[dict]:
-        for g in range(0, n + 1):
-            expected = formulas.kappa_g_extra_formula(n, g)
-            actual = analysis.g_extra_connectivity(n, g)
-            yield _row("g-extra", "oracle-vs-formula", "pass" if actual == expected else "fail", "",
-                       n=n, g=g, expected=expected, actual=actual)
-
-    return _oracle_rows("g-extra", [{"n": 4}], ceiling, rows_at)
-
-
-def _map_rows(worker, specs: list, jobs: int) -> list[dict]:
-    if jobs <= 1 or len(specs) < 2:
-        return [worker(spec) for spec in specs]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, specs))
+def _verify_g_extra(nmax: int) -> list[dict]:
+    n = 4
+    rows = []
+    for g in range(0, n + 1):
+        expected = formulas.kappa_g_extra_formula(n, g)
+        actual = analysis.g_extra_connectivity(n, g)
+        rows.append(_row("g-extra", "oracle-vs-formula", "pass" if actual == expected else "fail", "",
+                         n=n, g=g, expected=expected, actual=actual))
+    return rows
 
 
-# verify scope -> (row builder taking (nmax, ceiling, jobs), default --nmax);
+# verify scope -> (row builder taking nmax, default --nmax);
 # "all" runs them in this order, and g-extra checks n = 4 whatever --nmax says
 _SCOPES = {
     "paths": (_verify_paths, 6),
@@ -366,9 +322,7 @@ MAX_VERIFY_NMAX = max(default for _, default in _SCOPES.values() if default)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    ceiling = _oracle_ceiling()
     scopes = list(_SCOPES) if args.scope == "all" else [args.scope]
-    start = time.perf_counter()
     if args.nmax is not None and args.nmax < 3:
         raise ValueError(f"--nmax must be at least 3, got {args.nmax}")
     if args.nmax is not None and args.nmax > MAX_VERIFY_NMAX:
@@ -376,8 +330,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     report = RunReport("verify", {"scope": args.scope, "nmax": args.nmax, "jobs": args.jobs})
     for scope in scopes:
         build_rows, default_nmax = _SCOPES[scope]
-        report.rows.extend(build_rows(default_nmax if args.nmax is None else args.nmax, ceiling, args.jobs))
-    report.elapsed_s = time.perf_counter() - start
+        report.rows.extend(build_rows(default_nmax if args.nmax is None else args.nmax))
     _emit_report(report, args.format, args.out)
     return EXIT_OK if report.passed else EXIT_MISMATCH
 
@@ -397,9 +350,8 @@ def _parse_kind(kind_name: str, k: int | None) -> StructureKind:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     kind = _parse_kind(args.kind, args.k)
-    ceiling = _oracle_ceiling()
     max_size = args.max_size if args.max_size is not None else default_family_size(args.n)
-    budget = SearchBudget(max_family_size=max_size, max_dimension=ceiling)
+    budget = SearchBudget(max_family_size=max_size, max_dimension=MAX_SEARCH_DIM)
     result = min_structure_cut(args.n, kind, args.mode, budget)
     payload = {
         "schema": SCHEMA,
@@ -442,9 +394,10 @@ def cmd_property_test(args: argparse.Namespace) -> int:
         raise ValueError(f"--nmax must be in [2, {MAX_SCAN_DIM}], got {args.nmax}")
     if args.n > MAX_SAMPLE_DIM:
         raise ValueError(f"--n must be at most {MAX_SAMPLE_DIM}, got {args.n}")
+    if not 1 <= args.trials <= MAX_TRIALS:
+        raise ValueError(f"--trials must be in [1, {MAX_TRIALS}], got {args.trials}")
     suites = ["common-neighbors", "path-bound", "cycle-bound"] if args.suite == "all" else [args.suite]
     rng = random.Random(args.seed)
-    start = time.perf_counter()
     report = RunReport("property-test",
                        {"suite": args.suite, "seed": args.seed, "trials": args.trials, "n": args.n})
     for suite in suites:
@@ -459,7 +412,6 @@ def cmd_property_test(args: argparse.Namespace) -> int:
                 violations = analysis.run_cycle_bound_trials(args.n, (4, 6, 8), args.trials, rng)
             report.rows.append(_row("property", suite, "pass" if not violations else "fail",
                                     f"trials={args.trials} n={args.n}", expected=0, actual=len(violations)))
-    report.elapsed_s = time.perf_counter() - start
     _emit_report(report, args.format, args.out)
     return EXIT_OK if report.passed else EXIT_MISMATCH
 
@@ -483,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scope", choices=[*_SCOPES, "all"], default="all")
     p.add_argument("--nmax", type=int, default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--jobs", type=int, default=1)
+    # rows are built serially; perfbench passes --jobs 1 and pins the "jobs": 1 it echoes
+    p.add_argument("--jobs", type=int, choices=[1], default=1)
     p.add_argument("--out")
     p.set_defaults(handler=cmd_verify)
 
@@ -506,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=["common-neighbors", "path-bound", "cycle-bound", "all"],
                    default="all")
     p.add_argument("--seed", type=int, default=20250810)
-    p.add_argument("--trials", type=int, default=10_000)
+    p.add_argument("--trials", type=int, default=MAX_TRIALS)
     p.add_argument("--n", type=int, default=6)
     p.add_argument("--nmax", type=int, default=10)
     p.add_argument("--format", choices=["json", "csv"], default="json")

@@ -280,7 +280,7 @@ def _seed_level(
                 if coverages[p] * slots < missing:
                     break  # sorted by coverage, nothing later can help
                 chosen.append(idxs[p])
-                hit = backtrack(p + 1, covered | covers[p], union | masks[p])
+                hit = backtrack(p + 1, covered | covers[p], union | masks[idxs[p]])
                 chosen.pop()
                 if hit:
                     return hit

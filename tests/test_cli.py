@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -203,12 +207,12 @@ def _oracle_pin_commands():
 
 
 # every kind and mode at n = 3, 4 with the default family-size budget, and two
-# n = 5 searches; recorded before the path and cycle enumerators were merged
-_ORACLE_SHA256 = "77c2d3cd1b17a5a33fb46a1518bff857a5be6b8a76faea5350917b6c17db8544"
+# n = 5 searches; re-recorded when the seeded pass began cut-testing the union of
+# the elements it chose, which changed witnesses and counters but no value
+_ORACLE_SHA256 = "870c035c6d2cb6ba772aa3ad7687459c7b2a1d4f28f8e90fcd50ca1758b445bb"
 
 
-def test_oracle_stdout_is_byte_stable(capsys, monkeypatch):
-    monkeypatch.delenv("HYPERCUT_MAX_DIM", raising=False)
+def test_oracle_stdout_is_byte_stable(capsys):
     outs = []
     for argv in _oracle_pin_commands():
         code, out, _ = run(capsys, "oracle", *argv)
@@ -222,20 +226,6 @@ def test_oracle_vertex_kind_rejects_k(capsys):
     code, _, err = run(capsys, "oracle", "--n", "3", "--kind", "vertex", "--k", "2")
     assert code == 2
     assert "--k" in err
-
-
-def test_oracle_respects_env_ceiling(capsys, monkeypatch):
-    monkeypatch.setenv("HYPERCUT_MAX_DIM", "3")
-    code, _, err = run(capsys, "oracle", "--n", "4", "--kind", "path", "--k", "3")
-    assert code == 3
-    assert "budget" in err
-
-
-def test_env_ceiling_above_five_rejected(capsys, monkeypatch):
-    monkeypatch.setenv("HYPERCUT_MAX_DIM", "6")
-    code, _, err = run(capsys, "oracle", "--n", "3", "--kind", "path", "--k", "3")
-    assert code == 2
-    assert "HYPERCUT_MAX_DIM" in err
 
 
 def test_verify_budengs(capsys):
@@ -270,7 +260,7 @@ def test_verify_nmax_below_three_exits_2(capsys):
 
 @pytest.mark.parametrize("nmax", [str(cli.MAX_VERIFY_NMAX + 1), "100000"])
 def test_verify_nmax_above_ceiling_exits_2(capsys, monkeypatch, nmax):
-    def build_rows(nmax, ceiling, jobs):
+    def build_rows(nmax):
         raise AssertionError("rows built before refusing")
 
     monkeypatch.setitem(cli._SCOPES, "budengs", (build_rows, 64))
@@ -279,6 +269,28 @@ def test_verify_nmax_above_ceiling_exits_2(capsys, monkeypatch, nmax):
         assert code == 2
         assert out == ""
         assert f"--nmax must be at most 64, got {nmax}" in err
+
+
+@pytest.mark.parametrize("jobs", ["2", "0"])
+def test_verify_jobs_other_than_1_exits_2(capsys, monkeypatch, jobs):
+    def construction_row(*args):
+        raise AssertionError("rows built before refusing")
+
+    monkeypatch.setattr(cli, "_construction_row", construction_row)
+    code, out, err = run(capsys, "verify", "--scope", "paths", "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert "--jobs" in err
+
+
+def test_cli_import_loads_no_process_pool():
+    # a fresh interpreter, since this one may have imported them already
+    code = ("import sys, hypercut.cli; "
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_verify_power_of_two_table(capsys):
@@ -368,6 +380,31 @@ def test_property_test_refuses_n_above_ceiling(capsys, monkeypatch, suite):
         assert f"--n must be at most {cli.MAX_SAMPLE_DIM}, got {n}" in err
 
 
+def _no_sampling(*args):
+    raise AssertionError("sampled or scanned before refusing")
+
+
+@pytest.mark.parametrize("trials", ["0", "-5", str(cli.MAX_TRIALS + 1), "1000000000"])
+def test_property_test_refuses_trials_out_of_range(capsys, monkeypatch, trials):
+    monkeypatch.setattr(cli.analysis, "run_path_bound_trials", _no_sampling)
+    monkeypatch.setattr(cli.analysis, "run_cycle_bound_trials", _no_sampling)
+    monkeypatch.setattr(cli.analysis, "scan_distance2_common_neighbors", _no_sampling)
+    for suite in ("path-bound", "cycle-bound", "all"):
+        code, out, err = run(capsys, "property-test", "--suite", suite, "--trials", trials)
+        assert code == 2
+        assert out == ""
+        assert f"--trials must be in [1, {cli.MAX_TRIALS}], got {trials}" in err
+
+
+def test_property_test_samples_the_trials_cap(capsys):
+    code, out, _ = run(capsys, "property-test", "--suite", "path-bound",
+                       "--trials", str(cli.MAX_TRIALS))
+    assert code == 0
+    row = json.loads(out)["rows"][0]
+    assert row["status"] == "pass"
+    assert row["detail"] == f"trials={cli.MAX_TRIALS} n=6"
+
+
 def test_property_test_samples_at_the_ceiling(capsys):
     code, out, _ = run(capsys, "property-test", "--suite", "path-bound",
                        "--n", str(cli.MAX_SAMPLE_DIM), "--trials", "50")
@@ -394,28 +431,19 @@ def test_render_dot_components_colored():
     assert len(colors) == 2
 
 
-# (HYPERCUT_MAX_DIM, arguments, sha256 of stdout); the unset-env digest is the
-# one recorded for this command in perfbench/workloads.py, and the lowered
-# ceilings pin the skipped rows of dimensions above the oracle ceiling
+# (arguments, sha256 of stdout); the "unset" digest, named for the unset oracle
+# ceiling it was first recorded under, is the one perfbench/workloads.py pins
 _PINNED_STDOUT = {
-    "unset": (None, ("verify", "--scope", "all", "--jobs", "1"),
+    "unset": (("verify", "--scope", "all", "--jobs", "1"),
               "646e4b8e7577b7f52d7fbdba0bbf9e41e408d0e5b36fb0afb91506dfd24face3"),
-    "max-dim-3": ("3", ("verify", "--scope", "all", "--jobs", "1"),
-                  "3a2f8066df2d2a1d8bb0d2ecf6a7ae9372c27ff86fd14c0e68c9fe244bc2b245"),
-    "max-dim-4": ("4", ("verify", "--scope", "all", "--jobs", "1"),
-                  "34a4335c746bf62258c60f49b95c1092b75cbca3f344f55e3e4e27972880a863"),
-    "cycles-csv": (None, ("verify", "--scope", "cycles", "--format", "csv", "--jobs", "1"),
+    "cycles-csv": (("verify", "--scope", "cycles", "--format", "csv", "--jobs", "1"),
                    "883b5296cad3b512a2a3156a209985ac50129f3d385a9eb636910e17ec3688c4"),
 }
 
 
 @pytest.mark.parametrize("case", sorted(_PINNED_STDOUT))
-def test_verify_all_stdout_is_byte_stable(capsys, monkeypatch, case):
-    max_dim, argv, expected = _PINNED_STDOUT[case]
-    if max_dim is None:
-        monkeypatch.delenv("HYPERCUT_MAX_DIM", raising=False)
-    else:
-        monkeypatch.setenv("HYPERCUT_MAX_DIM", max_dim)
+def test_verify_all_stdout_is_byte_stable(capsys, case):
+    argv, expected = _PINNED_STDOUT[case]
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == expected
