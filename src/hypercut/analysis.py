@@ -207,15 +207,20 @@ def scan_distance2_common_neighbors(n: int) -> int:
     return violations
 
 
+# Draws before _random_outside_pair gives up: an obstacle may leave no adjacent pair outside it.
+PAIR_DRAWS = 10_000
+
+
 def _random_outside_pair(n: int, blocked: frozenset[int], rng: random.Random) -> tuple[int, int]:
     size = 1 << n
-    while True:
+    for _ in range(PAIR_DRAWS):
         u = rng.randrange(size)
         if u in blocked:
             continue
         v = u ^ (1 << rng.randrange(n))
         if v not in blocked:
             return u, v
+    raise RuntimeError(f"no adjacent pair outside the obstacle found in {PAIR_DRAWS} draws")
 
 
 def _bound_trials(

@@ -19,7 +19,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from typing import Callable
 
 from . import analysis, cuts, formulas, oracle
 from .analysis import components_after_removal, validate_cut
@@ -42,6 +42,10 @@ MAX_DOT_DIM = 8
 # The largest property-test --nmax: the common-neighbour scan takes 2^n * C(n, 2)
 # steps, which came to 7-8 s at --nmax 14 and about 5.5 times that at 16 on 2 vCPUs.
 MAX_SCAN_DIM = 14
+# The smallest property-test --n: below it a sampled obstacle can leave no adjacent pair
+# outside it, so the pair draw fails. Counted over every element: at n = 3, 24 of 120 P6,
+# every P7 and P8, 4 of 16 C6 and every C8 do; at n = 4 no P3..P9, C4, C6 or C8 does.
+MIN_SAMPLE_DIM = 4
 # The largest property-test --n: cycle-bound samples cycles by closing random walks, and
 # --trials 200 took 1.3 / 2.0 / 3.8 / 6.5 s at n = 20 / 24 / 28 / 32 on 2 vCPUs.
 MAX_SAMPLE_DIM = 24
@@ -82,64 +86,38 @@ def _emit(text: str, out: str | None) -> None:
             sys.stdout.write("\n")
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
+def _emit_json(command: str, parameters: dict, out: str | None, **fields) -> None:
+    """Write the schema-versioned envelope (schema, command, parameters) with the command's fields."""
+    payload = {"schema": SCHEMA, "command": command, "parameters": parameters, **fields}
     _emit(json.dumps(payload, indent=2, sort_keys=True), out)
 
 
 _CSV_COLUMNS = ["scope", "check", "n", "k", "m", "g", "mode", "expected", "actual", "status", "detail"]
 
 
-@dataclass
-class RunReport:
-    """Result table of a verification-style run.
+def _emit_report(command: str, parameters: dict, rows: list[dict], fmt: str, out: str | None) -> int:
+    """Write a verification-style table of rows and its tally; EXIT_MISMATCH if a row failed.
 
     Timing is kept out of the machine-readable payload so deterministic
     commands stay byte-stable; main prints it to stderr instead.
     """
-
-    command: str
-    parameters: dict
-    rows: list[dict] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not any(r["status"] == "fail" for r in self.rows)
-
-    def summary(self) -> dict:
-        return {
-            "total": len(self.rows),
-            "passed": sum(1 for r in self.rows if r["status"] == "pass"),
-            "failed": sum(1 for r in self.rows if r["status"] == "fail"),
-            "skipped": sum(1 for r in self.rows if r["status"] == "skipped"),
-        }
-
-    def to_json(self) -> str:
-        payload = {
-            "schema": SCHEMA,
-            "command": self.command,
-            "parameters": self.parameters,
-            "rows": self.rows,
-            "summary": self.summary(),
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
-
-    def to_csv(self) -> str:
+    summary = {"total": len(rows)}
+    for key, status in (("passed", "pass"), ("failed", "fail"), ("skipped", "skipped")):
+        summary[key] = sum(1 for r in rows if r["status"] == status)
+    if fmt == "csv":
         buf = io.StringIO()
         writer = csv.DictWriter(buf, fieldnames=_CSV_COLUMNS, extrasaction="ignore")
         writer.writeheader()
-        for row in self.rows:
-            writer.writerow(row)
-        return buf.getvalue()
-
-
-def _emit_report(report: RunReport, fmt: str, out: str | None) -> None:
-    _emit(report.to_csv() if fmt == "csv" else report.to_json(), out)
-    summary = report.summary()
+        writer.writerows(rows)
+        _emit(buf.getvalue(), out)
+    else:
+        _emit_json(command, parameters, out, rows=rows, summary=summary)
     print(
-        f"[hypercut] {report.command}: {summary['passed']} passed, "
+        f"[hypercut] {command}: {summary['passed']} passed, "
         f"{summary['failed']} failed, {summary['skipped']} skipped",
         file=sys.stderr,
     )
+    return EXIT_MISMATCH if summary["failed"] else EXIT_OK
 
 
 def render_dot(n: int, removed: frozenset[int]) -> str:
@@ -171,17 +149,24 @@ def _check_dot_dim(n: int) -> None:
         raise ValueError(f"DOT export is readable up to n = {MAX_DOT_DIM}, got {n}")
 
 
+def _construction(shape: str, n: int, k: int) -> tuple[int, Callable[[int, int], CutFamily]]:
+    """Range-check a path or cycle cut; return its element count (the exact kappa value) and builder.
+
+    The builder is looked up at call time, so a wrapper on cli.build_path_cut or build_cycle_cut sees every build.
+    """
+    if shape == "path":
+        cuts.check_path_cut(n, k)
+        return formulas.kappa_path(n, k).value, build_path_cut
+    cuts.check_cycle_cut(n, k)
+    return formulas.kappa_cycle(n, k).value, build_cycle_cut
+
+
 def cmd_construct(args: argparse.Namespace) -> int:
     if args.format == "dot":
         _check_dot_dim(args.n)
-    if args.kind == "path":
-        cuts.check_path_cut(args.n, args.k)
-        kappa, build = formulas.kappa_path, build_path_cut
-    else:
-        cuts.check_cycle_cut(args.n, args.k)
-        kappa, build = formulas.kappa_cycle, build_cycle_cut
-    # the family's element count is the exact kappa value, so the size is known before building
-    chars = kappa(args.n, args.k).value * args.k * args.n
+    # the element count is the exact kappa value, so the size is known before building
+    cardinality, build = _construction(args.kind, args.n, args.k)
+    chars = cardinality * args.k * args.n
     if chars > MAX_CONSTRUCT_CHARS:
         raise ValueError(f"k = {args.k} at n = {args.n} prints {chars} label characters,"
                          f" over the construct cap MAX_CONSTRUCT_CHARS = {MAX_CONSTRUCT_CHARS}")
@@ -190,15 +175,9 @@ def cmd_construct(args: argparse.Namespace) -> int:
         _emit(render_dot(args.n, family.vertex_union()), args.out)
         return EXIT_OK
     verdict = validate_cut(family)
-    payload = {
-        "schema": SCHEMA,
-        "command": "construct",
-        "parameters": {"n": args.n, "kind": args.kind, "k": args.k},
-        "family": _family_payload(family),
-        "isolated_vertex": vertex_to_string(0, args.n),  # every built family isolates 00..0
-        "verdict": verdict.status,
-    }
-    _emit_json(payload, args.out)
+    _emit_json("construct", {"n": args.n, "kind": args.kind, "k": args.k}, args.out,
+               family=_family_payload(family), verdict=verdict.status,
+               isolated_vertex=vertex_to_string(0, args.n))  # every built family isolates 00..0
     return EXIT_OK if verdict.ok else EXIT_MISMATCH
 
 
@@ -213,12 +192,8 @@ def _row(scope: str, check: str, status: str, detail: str = "", **params) -> dic
 
 def _construction_row(shape: str, n: int, k: int) -> dict:
     """Build one family and compare it against the validator and the formula."""
-    if shape == "path":
-        family = build_path_cut(n, k)
-        expected = formulas.kappa_path(n, k).value
-    else:
-        family = build_cycle_cut(n, k)
-        expected = formulas.kappa_cycle(n, k, "structure").value
+    expected, build = _construction(shape, n, k)
+    family = build(n, k)
     verdict = validate_cut(family)
     ok = verdict.ok and len(family) == expected
     detail = "" if ok else f"verdict={verdict.status} cardinality={len(family)}"
@@ -327,12 +302,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--nmax must be at least 3, got {args.nmax}")
     if args.nmax is not None and args.nmax > MAX_VERIFY_NMAX:
         raise ValueError(f"--nmax must be at most {MAX_VERIFY_NMAX}, got {args.nmax}")
-    report = RunReport("verify", {"scope": args.scope, "nmax": args.nmax, "jobs": args.jobs})
+    rows = []
     for scope in scopes:
         build_rows, default_nmax = _SCOPES[scope]
-        report.rows.extend(build_rows(default_nmax if args.nmax is None else args.nmax))
-    _emit_report(report, args.format, args.out)
-    return EXIT_OK if report.passed else EXIT_MISMATCH
+        rows.extend(build_rows(default_nmax if args.nmax is None else args.nmax))
+    parameters = {"scope": args.scope, "nmax": args.nmax, "jobs": args.jobs}
+    return _emit_report("verify", parameters, rows, args.format, args.out)
 
 
 # --- oracle ---
@@ -353,19 +328,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     max_size = args.max_size if args.max_size is not None else default_family_size(args.n)
     budget = SearchBudget(max_family_size=max_size, max_dimension=MAX_SEARCH_DIM)
     result = min_structure_cut(args.n, kind, args.mode, budget)
-    payload = {
-        "schema": SCHEMA,
-        "command": "oracle",
-        "parameters": {
-            "n": args.n, "kind": kind.label(), "mode": args.mode, "max_size": max_size,
-        },
-        "value": result.value,
-        "status": result.status,
-        "exhaustive": result.exhaustive,
-        "witness": _family_payload(result.witness) if result.witness else None,
-        "orbit_statistics": dict(result.stats),
-    }
-    _emit_json(payload, args.out)
+    parameters = {"n": args.n, "kind": kind.label(), "mode": args.mode, "max_size": max_size}
+    witness = _family_payload(result.witness) if result.witness else None
+    _emit_json("oracle", parameters, args.out, value=result.value, status=result.status,
+               exhaustive=result.exhaustive, witness=witness, orbit_statistics=dict(result.stats))
     if result.status == formulas.LOWER_BOUND:
         print(f"no cut of size <= {result.value - 1}; minimum is at least {result.value}",
               file=sys.stderr)
@@ -392,28 +358,29 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 def cmd_property_test(args: argparse.Namespace) -> int:
     if not 2 <= args.nmax <= MAX_SCAN_DIM:
         raise ValueError(f"--nmax must be in [2, {MAX_SCAN_DIM}], got {args.nmax}")
+    if args.n < MIN_SAMPLE_DIM:
+        raise ValueError(f"--n must be at least {MIN_SAMPLE_DIM}, got {args.n}")
     if args.n > MAX_SAMPLE_DIM:
         raise ValueError(f"--n must be at most {MAX_SAMPLE_DIM}, got {args.n}")
     if not 1 <= args.trials <= MAX_TRIALS:
         raise ValueError(f"--trials must be in [1, {MAX_TRIALS}], got {args.trials}")
     suites = ["common-neighbors", "path-bound", "cycle-bound"] if args.suite == "all" else [args.suite]
     rng = random.Random(args.seed)
-    report = RunReport("property-test",
-                       {"suite": args.suite, "seed": args.seed, "trials": args.trials, "n": args.n})
+    rows = []
     for suite in suites:
         if suite == "common-neighbors":
             bad = sum(analysis.scan_distance2_common_neighbors(n) for n in range(2, args.nmax + 1))
-            report.rows.append(_row("property", suite, "pass" if bad == 0 else "fail",
-                                    f"exhaustive n <= {args.nmax}", expected=0, actual=bad))
+            rows.append(_row("property", suite, "pass" if bad == 0 else "fail",
+                             f"exhaustive n <= {args.nmax}", expected=0, actual=bad))
         else:
             if suite == "path-bound":
                 violations = analysis.run_path_bound_trials(args.n, range(3, 10), args.trials, rng)
             else:
                 violations = analysis.run_cycle_bound_trials(args.n, (4, 6, 8), args.trials, rng)
-            report.rows.append(_row("property", suite, "pass" if not violations else "fail",
-                                    f"trials={args.trials} n={args.n}", expected=0, actual=len(violations)))
-    _emit_report(report, args.format, args.out)
-    return EXIT_OK if report.passed else EXIT_MISMATCH
+            rows.append(_row("property", suite, "pass" if not violations else "fail",
+                             f"trials={args.trials} n={args.n}", expected=0, actual=len(violations)))
+    parameters = {"suite": args.suite, "seed": args.seed, "trials": args.trials, "n": args.n}
+    return _emit_report("property-test", parameters, rows, args.format, args.out)
 
 
 def build_parser() -> argparse.ArgumentParser:

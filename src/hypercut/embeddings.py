@@ -246,37 +246,43 @@ def restrict_to_subcube(
     return lifted
 
 
-def random_embedded_path(n: int, k: int, rng: random.Random, max_attempts: int = 10_000) -> CubePath:
+# Walks each sampler draws before giving up with RuntimeError.
+PATH_ATTEMPTS = 10_000
+CYCLE_ATTEMPTS = 100_000
+
+
+def _random_walk(n: int, k: int, rng: random.Random) -> list[int] | None:
+    """One self-avoiding walk on k vertices from a uniform start, or None at a dead end."""
+    verts = [rng.randrange(1 << n)]
+    used = set(verts)  # a set, not a 2^n-bit mask, so a step costs O(n) at any n
+    while len(verts) < k:
+        options = [verts[-1] ^ (1 << i) for i in range(n)]
+        options = [w for w in options if w not in used]
+        if not options:
+            return None
+        w = rng.choice(options)
+        verts.append(w)
+        used.add(w)
+    return verts
+
+
+def random_embedded_path(n: int, k: int, rng: random.Random) -> CubePath:
     """A uniformly-started self-avoiding walk on k vertices, retrying dead ends."""
     if k < 1 or k > 1 << n:
         raise ValueError(f"path on {k} vertices does not fit in Q_{n}")
-    size = 1 << n
-    for _ in range(max_attempts):
-        v = rng.randrange(size)
-        verts = [v]
-        used = {v}  # a set, not a 2^n-bit mask, so a step costs O(n) at any n
-        while len(verts) < k:
-            options = [verts[-1] ^ (1 << i) for i in range(n)]
-            options = [w for w in options if w not in used]
-            if not options:
-                break
-            w = rng.choice(options)
-            verts.append(w)
-            used.add(w)
-        if len(verts) == k:
+    for _ in range(PATH_ATTEMPTS):
+        verts = _random_walk(n, k, rng)
+        if verts:
             return CubePath(n, tuple(verts))
-    raise RuntimeError(f"no path on {k} vertices found in {max_attempts} attempts")
+    raise RuntimeError(f"no path on {k} vertices found in {PATH_ATTEMPTS} attempts")
 
 
-def random_embedded_cycle(n: int, k: int, rng: random.Random, max_attempts: int = 100_000) -> CubeCycle:
+def random_embedded_cycle(n: int, k: int, rng: random.Random) -> CubeCycle:
     """A random cycle of length k, sampled by closing self-avoiding walks."""
     if k % 2 or k < 4 or k > 1 << n:
         raise ValueError(f"no cycle of length {k} in Q_{n}")
-    for _ in range(max_attempts):
-        try:
-            walk = random_embedded_path(n, k, rng, max_attempts=1)
-        except RuntimeError:
-            continue
-        if adjacent(walk.verts[-1], walk.verts[0]):
-            return CubeCycle(n, walk.verts)
-    raise RuntimeError(f"no cycle of length {k} found in {max_attempts} attempts")
+    for _ in range(CYCLE_ATTEMPTS):
+        verts = _random_walk(n, k, rng)
+        if verts and adjacent(verts[-1], verts[0]):
+            return CubeCycle(n, tuple(verts))
+    raise RuntimeError(f"no cycle of length {k} found in {CYCLE_ATTEMPTS} attempts")

@@ -21,7 +21,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Mapping
 
-from .analysis import is_disconnecting_mask, neighborhood_vertex_mask, vertex_mask
+from .analysis import is_disconnecting_mask, neighborhood_vertex_mask
 from .core import adjacent, automorphism_vertex_tables
 from .cuts import CutElement, CutFamily, StructureKind, STRUCTURE, admissible_shapes
 from .embeddings import CubeCycle, CubePath, CubeStar, canonical_cycle_orientation
@@ -37,7 +37,7 @@ class SearchBudget:
     """Limits keeping the exhaustive search at desk scale.
 
     A search refuses any n above max_dimension, and every n >= 6; at n = 5
-    only a few kinds and family sizes are sanctioned (_check_budget).
+    only a few pool blocks and family sizes are sanctioned (_check_budget).
     """
 
     max_family_size: int = 4
@@ -214,18 +214,20 @@ def default_family_size(n: int) -> int:
     return 3 if n == 5 else SearchBudget.max_family_size
 
 
-def _check_budget(n: int, kind: StructureKind, budget: SearchBudget) -> None:
+# The pool blocks a dimension 5 search may build; Q5 C8, 6,720 copies, is the largest.
+# C8 substructure would add P5..P8, a pool of 333,872 copies: 4.8 s and 159 MB.
+_SANCTIONED_AT_5 = frozenset([("path", 1), ("path", 2), ("path", 3), ("path", 4), ("cycle", 4), ("cycle", 8)])
+
+
+def _check_budget(n: int, kind: StructureKind, mode: str, budget: SearchBudget) -> None:
     limit = min(budget.max_dimension, MAX_SEARCH_DIM)
     if n > limit:
         raise BudgetError(f"dimension {n} above the search limit {limit}")
     if n == 5:
-        allowed = (kind.name == "cycle" and kind.size in (4, 8)) or (
-            kind.name == "path" and kind.size <= 4
-        )
-        if not allowed:
-            raise BudgetError(
-                "dimension 5 searches are limited to cycle(4), cycle(8) and path(k <= 4)"
-            )
+        for shape, size in admissible_shapes(kind, mode):
+            if (shape, size) not in _SANCTIONED_AT_5:
+                raise BudgetError(f"dimension 5 searches are limited to the blocks path(1..4), cycle(4) and"
+                                  f" cycle(8), but {mode} {kind.label()} needs {shape}({size})")
         if budget.max_family_size > default_family_size(5):
             raise BudgetError(f"dimension 5 searches are limited to family sizes up to {default_family_size(5)}")
 
@@ -243,10 +245,8 @@ def _cut_test(n: int, mask: int, memo: dict[int, bool], stats: dict[str, int]) -
 
 def _seed_targets(n: int) -> list[tuple[int, int]]:
     """(target neighborhood mask, forbidden vertex mask) around vertex 0 and edge {0, e_0}."""
-    vertex_target = vertex_mask(n, (1 << i for i in range(n)))
-    edge_mask = (1 << 0) | (1 << 1)
-    edge_target = neighborhood_vertex_mask(n, edge_mask)
-    return [(vertex_target, 1 << 0), (edge_target, edge_mask)]
+    vertex, edge = 1 << 0, (1 << 0) | (1 << 1)
+    return [(neighborhood_vertex_mask(n, vertex), vertex), (neighborhood_vertex_mask(n, edge), edge)]
 
 
 def _seed_level(
@@ -305,11 +305,6 @@ def _level_search(
     hit = _seed_level(n, masks, s, memo, stats)
     if hit:
         return hit
-    if s == 1:
-        for r in reps:
-            if _cut_test(n, masks[r], memo, stats):
-                return (r,)
-        return None
     orbit_sizes = Counter(orbit_of)
     below = total = 0
     for orbit in sorted(orbit_sizes):
@@ -321,7 +316,8 @@ def _level_search(
         )
     for r in reps:
         o = orbit_of[r]
-        cands = [j for j in range(len(masks)) if j != r and orbit_of[j] >= o]
+        # at s = 1, combinations(cands, 0) yields one empty tuple: each representative alone
+        cands = [j for j in range(len(masks)) if j != r and orbit_of[j] >= o] if s > 1 else []
         base = masks[r]
         for comb in combinations(cands, s - 1):
             union = base
@@ -345,7 +341,7 @@ def min_structure_cut(
     a wrong exact value.
     """
     budget = budget or SearchBudget()
-    _check_budget(n, kind, budget)
+    _check_budget(n, kind, mode, budget)
     pool, masks, orbit_of, reps = _pool(n, kind, mode)
     if not pool:
         raise ValueError(f"no embedded copies of {kind.label()} exist in Q_{n}")

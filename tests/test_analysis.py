@@ -242,6 +242,12 @@ def test_path_bound_trials_small():
     assert run_path_bound_trials(5, range(3, 8), 500, rng) == []
 
 
+def test_bound_trials_give_up_when_no_pair_lies_outside():
+    # every 8-vertex path of Q3 is Hamiltonian, so no vertex is left to draw
+    with pytest.raises(RuntimeError, match="no adjacent pair outside"):
+        run_path_bound_trials(3, [8], 1, random.Random(0))
+
+
 def test_cycle_bound_trials_small():
     rng = random.Random(5)
     assert run_cycle_bound_trials(5, (4, 6), 300, rng) == []

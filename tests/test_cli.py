@@ -222,6 +222,29 @@ def test_oracle_stdout_is_byte_stable(capsys):
     assert hashlib.sha256("".join(outs).encode()).hexdigest() == _ORACLE_SHA256
 
 
+def test_oracle_refuses_c8_substructure_at_n_5_before_building(capsys, monkeypatch):
+    def pool_block(*args):
+        raise AssertionError("a pool block was built before the search was refused")
+
+    pool_block.cache_clear = lambda: None  # main clears the block cache as it starts
+    monkeypatch.setattr(cli.oracle, "pool_block", pool_block)
+    code, out, err = run(capsys, "oracle", "--n", "5", "--kind", "cycle", "--k", "8", "--mode", "substructure")
+    assert code == 3
+    assert out == ""
+    assert "substructure C8 needs path(5)" in err
+
+
+@pytest.mark.parametrize("mode", ["structure", "substructure"])
+@pytest.mark.parametrize("kind, k", [("vertex", "1"), ("edge", "2")])
+def test_oracle_vertex_and_edge_at_n_5_report_as_their_paths(capsys, kind, k, mode):
+    code, out, _ = run(capsys, "oracle", "--n", "5", "--kind", kind, "--mode", mode)
+    assert code == 0
+    _, path, _ = run(capsys, "oracle", "--n", "5", "--kind", "path", "--k", k, "--mode", mode)
+    got, want = json.loads(out), json.loads(path)
+    assert (got["value"], got["status"], got["orbit_statistics"]) == (
+        want["value"], want["status"], want["orbit_statistics"])
+
+
 def test_oracle_vertex_kind_rejects_k(capsys):
     code, _, err = run(capsys, "oracle", "--n", "3", "--kind", "vertex", "--k", "2")
     assert code == 2
@@ -291,6 +314,20 @@ def test_cli_import_loads_no_process_pool():
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_verify_builds_through_the_cli_builder_names(capsys, monkeypatch):
+    # construct and verify share one dispatch, which looks the builders up on cli when called
+    built = []
+    for name in ("build_path_cut", "build_cycle_cut"):
+        def build(n, k, original=getattr(cli, name)):
+            built.append((n, k))
+            return original(n, k)
+        monkeypatch.setattr(cli, name, build)
+    assert run(capsys, "verify", "--scope", "cycles", "--nmax", "5")[0] == 0
+    assert run(capsys, "verify", "--scope", "paths", "--nmax", "3")[0] == 0
+    assert run(capsys, "construct", "--n", "5", "--kind", "path", "--k", "3")[0] == 0
+    assert built == [(5, 6), (5, 8), (3, 3), (3, 4), (5, 3)]
 
 
 def test_verify_power_of_two_table(capsys):
@@ -382,6 +419,27 @@ def test_property_test_refuses_n_above_ceiling(capsys, monkeypatch, suite):
 
 def _no_sampling(*args):
     raise AssertionError("sampled or scanned before refusing")
+
+
+@pytest.mark.parametrize("n", ["3", "2", "0"])
+def test_property_test_refuses_n_below_floor(capsys, monkeypatch, n):
+    # at n = 3 an obstacle such as a Hamiltonian P8 leaves no adjacent pair to draw
+    monkeypatch.setattr(cli.analysis, "run_path_bound_trials", _no_sampling)
+    monkeypatch.setattr(cli.analysis, "run_cycle_bound_trials", _no_sampling)
+    monkeypatch.setattr(cli.analysis, "scan_distance2_common_neighbors", _no_sampling)
+    for suite in ("common-neighbors", "path-bound", "cycle-bound", "all"):
+        code, out, err = run(capsys, "property-test", "--suite", suite, "--n", n, "--trials", "10")
+        assert code == 2
+        assert out == ""
+        assert f"--n must be at least {cli.MIN_SAMPLE_DIM}, got {n}" in err
+
+
+def test_property_test_samples_at_the_floor(capsys):
+    for suite in ("path-bound", "cycle-bound"):
+        code, out, _ = run(capsys, "property-test", "--suite", suite, "--n", str(cli.MIN_SAMPLE_DIM),
+                           "--trials", "300")
+        assert code == 0
+        assert json.loads(out)["rows"][0]["status"] == "pass"
 
 
 @pytest.mark.parametrize("trials", ["0", "-5", str(cli.MAX_TRIALS + 1), "1000000000"])

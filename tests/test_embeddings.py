@@ -306,3 +306,26 @@ def test_random_path_draws_match_bitmask_sampler(n, seed, data):
     k = data.draw(st.integers(1, min(1 << n, 12)))
     got = random_embedded_path(n, k, random.Random(seed)).verts
     assert got == _bitmask_random_path(n, k, random.Random(seed))
+
+
+def _closing_random_cycle(n, k, rng):
+    """The cycle sampler's draws as it once made them: single-attempt bitmask walks until one closes."""
+    while True:
+        verts = [rng.randrange(1 << n)]
+        used = 1 << verts[0]
+        while len(verts) < k:
+            options = [w for w in (verts[-1] ^ (1 << i) for i in range(n)) if not used & (1 << w)]
+            if not options:
+                break
+            verts.append(rng.choice(options))
+            used |= 1 << verts[-1]
+        if len(verts) == k and (verts[-1] ^ verts[0]).bit_count() == 1:
+            return tuple(verts)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_random_cycle_draws_match_walk_closing_sampler(n, seed, data):
+    k = 2 * data.draw(st.integers(2, min(1 << (n - 1), 5)))
+    got = random_embedded_cycle(n, k, random.Random(seed)).verts
+    assert got == _closing_random_cycle(n, k, random.Random(seed))

@@ -197,6 +197,21 @@ def test_dimension_gates():
         min_structure_cut(6, StructureKind("path", 3), budget=SearchBudget(3, 6))
 
 
+def _no_block(*args):
+    raise AssertionError("a pool block was built before the search was refused")
+
+
+def test_dimension_5_sanctions_blocks_not_kinds(monkeypatch):
+    # C8 substructure needs P5..P8, 333,872 copies of Q5; stars need star blocks
+    big5 = SearchBudget(max_family_size=3, max_dimension=5)
+    monkeypatch.setattr(oracle, "pool_block", _no_block)
+    for kind, mode, needs in ((StructureKind("cycle", 8), "substructure", r"C8 needs path\(5\)"),
+                              (StructureKind("path", 5), "substructure", r"P5 needs path\(5\)"),
+                              (StructureKind("star", 2), "structure", r"K1,2 needs star\(2\)"),
+                              (StructureKind("star", 2), "substructure", r"K1,2 needs star\(2\)")):
+        with pytest.raises(BudgetError, match=needs):
+            min_structure_cut(5, kind, mode, big5)
+
 def test_orbit_statistics_reported():
     result = min_structure_cut(3, StructureKind("path", 3))
     assert result.stats["copies"] == 24

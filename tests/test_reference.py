@@ -1,19 +1,21 @@
 """An independent reference for the oracle, built on networkx alone.
 
 It shares no code with hypercut's oracle or analysis: its own cube (bit i of
-a label is coordinate i of the networkx node), its own path and cycle pools,
-and its own cut test, so a bug in enumeration or in the complement BFS cannot
-pass unseen on both sides.
+a label is coordinate i of the networkx node), its own path, cycle and star
+pools, its own cut test and its own minimum search, so a bug in enumeration,
+in the orbit pruning or in the complement BFS cannot pass unseen on both sides.
 """
 
 import json
 from collections import Counter
+from itertools import combinations
 
 import networkx as nx
 import pytest
 
 from hypercut.cli import main
-from hypercut.oracle import pool_block
+from hypercut.cuts import StructureKind
+from hypercut.oracle import min_structure_cut, pool_block
 from test_cli import _oracle_pin_commands
 
 MAX_K = 8
@@ -51,6 +53,12 @@ def _reference_cycles(n, kmax):
     return pools
 
 
+def _reference_stars(n, r):
+    """The set of stars K_{1,r} as (center, leaves in increasing order)."""
+    g = _cube(n)
+    return {(c,) + leaves for c in g for leaves in combinations(sorted(g[c]), r)}
+
+
 def _reference_is_cut(g, removed):
     """True iff removing the vertices leaves at most one vertex or a disconnected rest."""
     rest = g.subgraph(set(g) - removed)
@@ -65,6 +73,68 @@ def test_path_and_cycle_blocks_match_the_reference(n):
         for k, reference in pools.items():
             elements = pool_block(n, shape, k)[0]
             assert Counter(el.verts for el in elements) == Counter(reference), (shape, n, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_star_blocks_match_the_reference(n):
+    for r in range(2, n + 1):
+        elements = pool_block(n, "star", r)[0]
+        assert Counter(el.verts for el in elements) == Counter(_reference_stars(n, r)), (n, r)
+
+
+def _reference_pool(n, kind, k, mode):
+    """Vertex sets of the elements a (kind, mode) family may hold: copies of H, or its connected subgraphs.
+
+    The connected subgraphs of P_k are P_1..P_k; of C_k, those paths and C_k itself; of K_{1,r},
+    a vertex, an edge and the stars K_{1,j} with j <= r; a vertex is a P_1 and an edge a P_2.
+    """
+    sub = mode == "substructure"
+    if kind in ("vertex", "edge"):
+        kind, k = "path", 1 if kind == "vertex" else 2
+    if kind == "star":
+        paths = _reference_paths(n, 2)
+        pools = [paths[1], paths[2]] if sub else []
+        pools += [_reference_stars(n, j) for j in (range(2, k + 1) if sub else [k])]
+    elif kind == "cycle":
+        pools = [_reference_cycles(n, k)[k]] + (list(_reference_paths(n, k).values()) if sub else [])
+    else:
+        paths = _reference_paths(n, k)
+        pools = list(paths.values()) if sub else [paths[k]]
+    return {frozenset(el) for pool in pools for el in pool}
+
+
+def _reference_minimum(n, kind, k, mode):
+    """The fewest elements whose removal is a cut, by testing every union of 1, 2, ... elements."""
+    g = _cube(n)
+    pool = _reference_pool(n, kind, k, mode)
+    unions = {frozenset()}
+    for s in range(1, len(g) + 1):
+        # a union that repeats an element is one of fewer elements, already tested at a lower s
+        unions = {u | el for u in unions for el in pool}
+        if any(_reference_is_cut(g, u) for u in unions):
+            return s
+    return None
+
+
+def _minimum_cases():
+    for mode in ("structure", "substructure"):
+        kinds = [("vertex", None), ("edge", None)] + [("path", k) for k in range(1, MAX_K + 1)]
+        kinds += [("cycle", k) for k in (4, 6, 8)] + [("star", r) for r in (2, 3)]
+        for kind, k in kinds:
+            yield 3, kind, k, mode
+        for kind, k in [("vertex", None), ("edge", None), ("path", 3)] + [("star", r) for r in (2, 3, 4)]:
+            yield 4, kind, k, mode
+
+
+def test_oracle_minimum_matches_the_reference_search():
+    cases = 0
+    for n, kind, k, mode in _minimum_cases():
+        size = {"vertex": 1, "edge": 2}.get(kind, k)
+        result = min_structure_cut(n, StructureKind(kind, size), mode)
+        assert result.status == "exact", (n, kind, k, mode)
+        assert result.value == _reference_minimum(n, kind, k, mode), (n, kind, k, mode)
+        cases += 1
+    assert cases == 42
 
 
 def test_every_pinned_oracle_witness_is_a_cut_by_the_reference(capsys):
