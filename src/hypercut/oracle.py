@@ -1,15 +1,17 @@
 """Brute-force ground truth for structure/substructure connectivity.
 
-The oracle enumerates every embedded copy of the structure (or of its
-connected subgraphs), then searches families by increasing size until one
-disconnects or trivializes the cube.  The first element of a family is
-restricted to one representative per automorphism orbit, which is sound:
-any cut can be carried by an automorphism onto one whose minimum-orbit
-element is that orbit's representative, and orbit indices are preserved,
-so the remaining elements only need to range over orbits at least as
-large.  Before each exhaustive pass, a cheap seeded pass hunts for cuts
-that isolate a fixed vertex or edge, since every known minimum cut here
-does exactly that.
+The oracle builds every embedded copy of the structure (or of its
+connected subgraphs) one (shape, size) block at a time: orderly walks at
+vertex 0 give each block's seeds, and one pass of the automorphism group
+per orbit gives every copy.  Then it searches families by increasing
+size until one disconnects or trivializes the cube.  The first element
+of a family is restricted to one representative per automorphism orbit,
+which is sound: any cut can be carried by an automorphism onto one whose
+minimum-orbit element is that orbit's representative, and orbit indices
+are preserved, so the remaining elements only need to range over orbits
+at least as large.  Before each exhaustive pass, a cheap seeded pass
+hunts for cuts that isolate a fixed vertex or edge, since every known
+minimum cut here does exactly that.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from itertools import combinations
 from typing import Mapping
 
 from .analysis import is_disconnecting_mask, neighborhood_vertex_mask
-from .core import adjacent, automorphism_vertex_tables
+from .core import automorphism_vertex_tables
 from .cuts import CutElement, CutFamily, StructureKind, STRUCTURE, admissible_shapes
 from .embeddings import CubeCycle, CubePath, CubeStar, canonical_cycle_orientation
 from .formulas import EXACT, LOWER_BOUND
@@ -79,61 +81,57 @@ def _shape_key(el: CutElement) -> tuple[int, tuple[int, ...]]:
     return (_SHAPE_ORDER[el.shape], el.verts)
 
 
-def _canon_image(el: CutElement, table: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """The _shape_key of el's image under an automorphism's vertex table."""
-    mapped = tuple(table[v] for v in el.verts)
-    if el.shape == "cycle":
-        mapped = canonical_cycle_orientation(mapped)
-    elif el.shape == "star":
-        mapped = (mapped[0],) + tuple(sorted(mapped[1:]))
-    elif len(mapped) > 1 and mapped[0] > mapped[-1]:
-        mapped = mapped[::-1]
-    return (_SHAPE_ORDER[el.shape], mapped)
+def _canon(shape: str, verts: tuple[int, ...]) -> tuple[int, ...]:
+    """The canonical vertex tuple of an element given by any of its labellings."""
+    if shape == "cycle":
+        return canonical_cycle_orientation(verts)
+    if shape == "star":
+        return verts[:1] + tuple(sorted(verts[1:]))
+    return verts[::-1] if verts[0] > verts[-1] else verts
 
 
-def _enumerate_walks(n: int, k: int, closed: bool) -> list[CubePath] | list[CubeCycle]:
-    """Every self-avoiding walk on k vertices, one canonical form each.
+def _seeds(n: int, shape: str, size: int) -> list[tuple[int, ...]]:
+    """The orderly walks of one block at vertex 0, in DFS order; for stars, the one star there.
 
-    Paths keep the direction with the smaller endpoint first.  Cycles
-    (closed) are walks whose ends are adjacent; the start is forced to be
-    the cycle minimum and the second vertex smaller than the last, so every
-    cycle appears exactly once.
+    Each step reuses a coordinate the walk has crossed or crosses the
+    smallest one it has not, so every copy is an automorphic image of a
+    seed.  A cycle seed ends next to 0 and never strays too far to get back.
     """
-    size = 1 << n
-    if k > size:
+    if shape == "star":
+        return [(0,) + tuple(1 << i for i in range(size))] if size <= n else []
+    if size > 1 << n:
         return []
-    out: list = []
+    closed = shape == "cycle"
+    out: list[tuple[int, ...]] = []
 
-    def dfs(seq: list[int], used: int) -> None:
-        if len(seq) == k:
-            if closed:
-                if adjacent(seq[-1], seq[0]) and seq[1] < seq[-1]:
-                    out.append(CubeCycle(n, tuple(seq)))
-            elif seq[0] <= seq[-1]:
-                out.append(CubePath(n, tuple(seq)))
+    def dfs(seq: list[int], used: int, coords: int) -> None:
+        if len(seq) == size:
+            if not closed or seq[-1].bit_count() == 1:
+                out.append(tuple(seq))
             return
-        v = seq[-1]
-        reach = k - len(seq) if closed else n  # a cycle must get back to its start in time
-        for i in range(n):
-            w = v ^ (1 << i)
-            if w > floor and not used >> w & 1 and (w ^ seq[0]).bit_count() <= reach:
+        for i in range(min(coords + 1, n)):  # a crossed coordinate, or the smallest new one
+            w = seq[-1] ^ (1 << i)
+            if not used >> w & 1 and (not closed or w.bit_count() <= size - len(seq)):
                 seq.append(w)
-                dfs(seq, used | (1 << w))
+                dfs(seq, used | (1 << w), max(coords, i + 1))
                 seq.pop()
 
-    for v0 in range(size):
-        floor = v0 if closed else -1  # a cycle never revisits below its start
-        dfs([v0], 1 << v0)
+    dfs([0], 1, 0)
     return out
 
 
-def _enumerate_stars(n: int, r: int) -> list[CubeStar]:
-    out = []
-    for center in range(1 << n):
-        nbrs = sorted(center ^ (1 << i) for i in range(n))
-        for leaves in combinations(nbrs, r):
-            out.append(CubeStar(n, center, tuple(leaves)))
-    return out
+@lru_cache(maxsize=None)
+def _block_size(n: int, shape: str, size: int) -> int:
+    """The number of copies in pool_block(n, shape, size), counted from its seeds alone.
+
+    A seed crossing coordinates 0..d-1 (d is its largest label's bit
+    length) is carried onto 2^n * n!/(n-d)! labelled copies; a copy has 2
+    labellings as a path (1 at size 1), 2 * size as a cycle and size! as a
+    star.
+    """
+    labelled = sum(math.perm(n, max(seed).bit_length()) for seed in _seeds(n, shape, size))
+    labellings = {"path": 2 if size > 1 else 1, "cycle": 2 * size, "star": math.factorial(size)}[shape]
+    return (labelled << n) // labellings
 
 
 def enumerate_copies(n: int, kind: StructureKind, mode: str = STRUCTURE) -> list[CutElement]:
@@ -148,14 +146,26 @@ def enumerate_copies(n: int, kind: StructureKind, mode: str = STRUCTURE) -> list
 def pool_block(n: int, shape: str, size: int) -> tuple[tuple[CutElement, ...], tuple[int, ...], tuple[int, ...]]:
     """Every element of one (shape, size), sorted by vertex tuple: (elements, masks, orbit_of).
 
-    An automorphism keeps an element's shape and size, so the orbits of a
-    pool never cross its blocks and each block is partitioned alone.  The
-    cache lives for one command: cli.main clears it as it starts.
+    The block is grown from its seeds: each seed not yet seen is an orbit
+    of its own, and one pass of the automorphism group carries it onto
+    every copy in that orbit.  Orbits are numbered by first appearance in
+    the sorted block.  An automorphism keeps an element's shape and size,
+    so the orbits of a pool never cross its blocks.  The cache lives for
+    one command: cli.main clears it as it starts.
     """
-    els = _enumerate_stars(n, size) if shape == "star" else _enumerate_walks(n, size, shape == "cycle")
-    els.sort(key=_shape_key)
-    masks = tuple(sum(1 << v for v in el.verts) for el in els)
-    return tuple(els), masks, tuple(_orbit_partition(els, n))
+    tables = automorphism_vertex_tables(n)
+    orbit: dict[tuple[int, ...], int] = {}  # canonical vertex tuple -> index of the seed expanded onto it
+    for i, seed in enumerate(_seeds(n, shape, size)):
+        if _canon(shape, seed) not in orbit:
+            for table in tables:
+                orbit.setdefault(_canon(shape, tuple(map(table.__getitem__, seed))), i)
+    keys = sorted(orbit)
+    if len(keys) != _block_size(n, shape, size):
+        raise AssertionError(f"{shape}({size}) of Q_{n} grew {len(keys)} copies, not {_block_size(n, shape, size)}")
+    number: dict[int, int] = {}
+    orbit_of = tuple(number.setdefault(orbit[key], len(number)) for key in keys)
+    make = {"path": CubePath, "cycle": CubeCycle, "star": lambda dim, key: CubeStar(dim, key[0], key[1:])}[shape]
+    return tuple(make(n, key) for key in keys), tuple(sum(1 << v for v in key) for key in keys), orbit_of
 
 
 def _pool(n: int, kind: StructureKind, mode: str) -> tuple[list[CutElement], list[int], list[int], list[int]]:
@@ -185,30 +195,6 @@ def _pool(n: int, kind: StructureKind, mode: str) -> tuple[list[CutElement], lis
     return els, masks, [number[o] for o in tagged], list(first.values())
 
 
-def _orbit_partition(block: list[CutElement], n: int) -> list[int]:
-    """Each element's automorphism orbit index, numbered by first appearance.
-
-    Orbits are expanded by applying the whole group to each fresh
-    representative, so the cost scales with the number of orbits, not the
-    block size.  The block must hold every image of its elements.
-    """
-    tables = automorphism_vertex_tables(n)
-    index = {_shape_key(el): i for i, el in enumerate(block)}
-    orbit_of = [-1] * len(block)
-    next_orbit = 0
-    for idx, el in enumerate(block):
-        if orbit_of[idx] >= 0:
-            continue
-        for table in tables:
-            j = index.get(_canon_image(el, table))
-            if j is None:
-                raise AssertionError("automorphic image missing from enumeration pool")
-            if orbit_of[j] < 0:
-                orbit_of[j] = next_orbit
-        next_orbit += 1
-    return orbit_of
-
-
 def default_family_size(n: int) -> int:
     """The family-size budget at dimension n: the largest sanctioned at n = 5, else the default."""
     return 3 if n == 5 else SearchBudget.max_family_size
@@ -217,6 +203,9 @@ def default_family_size(n: int) -> int:
 # The pool blocks a dimension 5 search may build; Q5 C8, 6,720 copies, is the largest.
 # C8 substructure would add P5..P8, a pool of 333,872 copies: 4.8 s and 159 MB.
 _SANCTIONED_AT_5 = frozenset([("path", 1), ("path", 2), ("path", 3), ("path", 4), ("cycle", 4), ("cycle", 8)])
+# The most copies a search may build, counted before any block is: just above Q5 P8's 237,120.
+# Q4 P16 substructure holds 725,424 copies, which took 15.7 s and 352 MB to build.
+_COPY_CEILING = 250_000
 
 
 def _check_budget(n: int, kind: StructureKind, mode: str, budget: SearchBudget) -> None:
@@ -230,6 +219,10 @@ def _check_budget(n: int, kind: StructureKind, mode: str, budget: SearchBudget) 
                                   f" cycle(8), but {mode} {kind.label()} needs {shape}({size})")
         if budget.max_family_size > default_family_size(5):
             raise BudgetError(f"dimension 5 searches are limited to family sizes up to {default_family_size(5)}")
+    copies = sum(_block_size(n, shape, size) for shape, size in admissible_shapes(kind, mode))
+    if copies > _COPY_CEILING:
+        raise BudgetError(f"the {mode} {kind.label()} pool of Q_{n} holds {copies} copies,"
+                          f" over the {_COPY_CEILING} ceiling")
 
 
 def _cut_test(n: int, mask: int, memo: dict[int, bool], stats: dict[str, int]) -> bool:
@@ -243,30 +236,34 @@ def _cut_test(n: int, mask: int, memo: dict[int, bool], stats: dict[str, int]) -
     return result
 
 
-def _seed_targets(n: int) -> list[tuple[int, int]]:
-    """(target neighborhood mask, forbidden vertex mask) around vertex 0 and edge {0, e_0}."""
-    vertex, edge = 1 << 0, (1 << 0) | (1 << 1)
-    return [(neighborhood_vertex_mask(n, vertex), vertex), (neighborhood_vertex_mask(n, edge), edge)]
+_Candidates = list[tuple[int, list[int], list[int], list[int]]]
+
+
+def _seed_candidates(n: int, masks: list[int]) -> _Candidates:
+    """(target, idxs, coverages, covers) for the neighborhoods of vertex 0 and of edge {0, e_0}.
+
+    The candidates are the 400 elements covering most of the target while
+    avoiding the vertex or edge itself, best first and then by pool index.
+    They do not depend on the family size, so a search finds them once.
+    """
+    out = []
+    for forbidden in (1 << 0, (1 << 0) | (1 << 1)):
+        target = neighborhood_vertex_mask(n, forbidden)
+        scored = sorted((-(m & target).bit_count(), i) for i, m in enumerate(masks)
+                        if m & target and not m & forbidden)[:400]
+        idxs = [i for _, i in scored]
+        out.append((target, idxs, [-c for c, _ in scored], [masks[i] & target for i in idxs]))
+    return out
 
 
 def _seed_level(
-    n: int, masks: list[int], s: int, memo: dict[int, bool], stats: dict[str, int]
+    n: int, masks: list[int], candidates: _Candidates, s: int, memo: dict[int, bool], stats: dict[str, int]
 ) -> tuple[int, ...] | None:
     """Hunt for a size-s cut covering a fixed vertex/edge neighborhood.
 
     Finding-only: a miss here proves nothing, the exhaustive pass follows.
     """
-    for target, forbidden in _seed_targets(n):
-        scored = [
-            (i, (masks[i] & target).bit_count())
-            for i in range(len(masks))
-            if masks[i] & target and not masks[i] & forbidden
-        ]
-        scored.sort(key=lambda t: (-t[1], t[0]))
-        scored = scored[:400]
-        idxs = [i for i, _ in scored]
-        coverages = [c for _, c in scored]
-        covers = [masks[i] & target for i in idxs]
+    for target, idxs, coverages, covers in candidates:
         chosen: list[int] = []
 
         def backtrack(pos: int, covered: int, union: int) -> tuple[int, ...] | None:
@@ -297,12 +294,13 @@ def _level_search(
     masks: list[int],
     orbit_of: list[int],
     reps: list[int],
+    candidates: _Candidates,
     s: int,
     stats: dict[str, int],
 ) -> tuple[int, ...] | None:
     """Search all families of size s; None only after an exhaustive sweep."""
     memo: dict[int, bool] = {}
-    hit = _seed_level(n, masks, s, memo, stats)
+    hit = _seed_level(n, masks, candidates, s, memo, stats)
     if hit:
         return hit
     orbit_sizes = Counter(orbit_of)
@@ -351,8 +349,9 @@ def min_structure_cut(
         "cut_tests": 0,
         "memo_hits": 0,
     }
+    candidates = _seed_candidates(n, masks)
     for s in range(1, budget.max_family_size + 1):
-        hit = _level_search(n, masks, orbit_of, reps, s, stats)
+        hit = _level_search(n, masks, orbit_of, reps, candidates, s, stats)
         if hit is not None:
             witness = CutFamily(n, kind, mode, tuple(pool[i] for i in hit))
             return OracleResult(s, EXACT, witness, stats=stats)

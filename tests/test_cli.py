@@ -234,6 +234,18 @@ def test_oracle_refuses_c8_substructure_at_n_5_before_building(capsys, monkeypat
     assert "substructure C8 needs path(5)" in err
 
 
+def test_oracle_refuses_pools_over_the_copy_ceiling_before_building(capsys, monkeypatch):
+    def pool_block(*args):
+        raise AssertionError("a pool block was built before the search was refused")
+
+    pool_block.cache_clear = lambda: None  # main clears the block cache as it starts
+    monkeypatch.setattr(cli.oracle, "pool_block", pool_block)
+    code, out, err = run(capsys, "oracle", "--n", "4", "--kind", "path", "--k", "16", "--mode", "substructure")
+    assert code == 3
+    assert out == ""
+    assert "substructure P16 pool of Q_4 holds 725424 copies, over the 250000 ceiling" in err
+
+
 @pytest.mark.parametrize("mode", ["structure", "substructure"])
 @pytest.mark.parametrize("kind, k", [("vertex", "1"), ("edge", "2")])
 def test_oracle_vertex_and_edge_at_n_5_report_as_their_paths(capsys, kind, k, mode):

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from hypercut import cli, oracle
 from hypercut.analysis import is_disconnecting_mask, validate_cut
-from hypercut.core import Automorphism, automorphism_vertex_tables
+from hypercut.core import Automorphism, adjacent, automorphism_vertex_tables
 from hypercut.cuts import StructureKind, admissible_shapes, build_path_cut
+from hypercut.embeddings import CubeCycle, CubePath, CubeStar
 from hypercut.oracle import (
     BudgetError,
     SearchBudget,
@@ -253,6 +254,53 @@ def _whole_pool_partition(pool, n):
     return orbit_of, reps
 
 
+# Reference enumerators that do not use the automorphism group, so they check the seeds and
+# the group pass of pool_block: a DFS from every start, and every leaf subset at every centre.
+def _enumerate_walks(n: int, k: int, closed: bool) -> list[CubePath] | list[CubeCycle]:
+    """Every self-avoiding walk on k vertices, one canonical form each.
+
+    Paths keep the direction with the smaller endpoint first.  Cycles
+    (closed) are walks whose ends are adjacent; the start is forced to be
+    the cycle minimum and the second vertex smaller than the last, so every
+    cycle appears exactly once.
+    """
+    size = 1 << n
+    if k > size:
+        return []
+    out: list = []
+
+    def dfs(seq: list[int], used: int) -> None:
+        if len(seq) == k:
+            if closed:
+                if adjacent(seq[-1], seq[0]) and seq[1] < seq[-1]:
+                    out.append(CubeCycle(n, tuple(seq)))
+            elif seq[0] <= seq[-1]:
+                out.append(CubePath(n, tuple(seq)))
+            return
+        v = seq[-1]
+        reach = k - len(seq) if closed else n  # a cycle must get back to its start in time
+        for i in range(n):
+            w = v ^ (1 << i)
+            if w > floor and not used >> w & 1 and (w ^ seq[0]).bit_count() <= reach:
+                seq.append(w)
+                dfs(seq, used | (1 << w))
+                seq.pop()
+
+    for v0 in range(size):
+        floor = v0 if closed else -1  # a cycle never revisits below its start
+        dfs([v0], 1 << v0)
+    return out
+
+
+def _enumerate_stars(n: int, r: int) -> list[CubeStar]:
+    out = []
+    for center in range(1 << n):
+        nbrs = sorted(center ^ (1 << i) for i in range(n))
+        for leaves in combinations(nbrs, r):
+            out.append(CubeStar(n, center, tuple(leaves)))
+    return out
+
+
 def _kinds(n):
     yield StructureKind("vertex", 1)
     yield StructureKind("edge", 2)
@@ -281,9 +329,9 @@ def test_block_built_pool_matches_whole_pool_partition(n, kind, mode):
     pool = []
     for shape, size in admissible_shapes(kind, mode):
         if shape == "star":
-            pool += oracle._enumerate_stars(n, size)
+            pool += _enumerate_stars(n, size)
         else:
-            pool += oracle._enumerate_walks(n, size, shape == "cycle")
+            pool += _enumerate_walks(n, size, shape == "cycle")
     pool.sort(key=lambda el: (_SHAPE_RANK[el.shape], el.verts))
     orbit_of, reps = _whole_pool_partition(pool, n)
     masks = [sum(1 << v for v in el.verts) for el in pool]
@@ -344,9 +392,52 @@ def _unpruned_cycles(n, k):
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(2, 5), k=st.sampled_from([4, 6, 8]))
 def test_pruned_cycle_enumeration_matches_unpruned_dfs(n, k):
-    cycles = [c.verts for c in oracle._enumerate_walks(n, k, True)]
+    cycles = [c.verts for c in pool_block(n, "cycle", k)[0]]
     assert len(cycles) == len(set(cycles))
     assert set(cycles) == (_unpruned_cycles(n, k) if k <= 1 << n else set())
+
+
+# every path and cycle block at n <= 4 with k <= 10, and three of the larger Q5 blocks
+_GROWN_BLOCKS = (
+    [(n, "path", k) for n in (1, 2, 3, 4) for k in range(1, min(10, 1 << n) + 1)]
+    + [(n, "cycle", k) for n in (2, 3, 4) for k in range(4, min(10, 1 << n) + 1, 2)]
+    + [(5, "path", 5), (5, "path", 6), (5, "cycle", 6)]
+)
+
+
+@pytest.mark.parametrize("n,shape,size", _GROWN_BLOCKS, ids=[f"Q{n}-{s}{k}" for n, s, k in _GROWN_BLOCKS])
+def test_block_grown_from_seeds_matches_the_all_starts_dfs(n, shape, size):
+    els = sorted(_enumerate_walks(n, size, shape == "cycle"), key=lambda el: el.verts)
+    orbit_of, _ = _whole_pool_partition(els, n)
+    got_els, got_masks, got_orbit_of = pool_block(n, shape, size)
+    assert list(got_els) == els
+    assert list(got_masks) == [sum(1 << v for v in el.verts) for el in els]
+    assert list(got_orbit_of) == orbit_of
+    assert oracle._block_size(n, shape, size) == len(els)
+
+
+def test_block_size_counts_large_pools_without_building_them(monkeypatch):
+    monkeypatch.setattr(oracle, "pool_block", _no_block)
+    assert sum(oracle._block_size(4, "path", k) for k in range(1, 17)) == 725_424
+    assert oracle._block_size(5, "path", 8) == 237_120
+    assert oracle._block_size(5, "cycle", 14) == 4_652_160
+    assert oracle._block_size(4, "star", 3) == 16 * 4
+
+
+@pytest.mark.parametrize("n,shape,size", [(2, "star", 3), (3, "star", 4), (2, "path", 5), (3, "cycle", 10)])
+def test_blocks_too_large_for_the_cube_are_empty(n, shape, size):
+    assert pool_block(n, shape, size) == ((), (), ())
+    assert oracle._block_size(n, shape, size) == 0
+
+
+def test_copy_ceiling_refuses_large_pools_before_building(monkeypatch):
+    monkeypatch.setattr(oracle, "pool_block", _no_block)
+    for kind in (StructureKind("path", 12), StructureKind("path", 16), StructureKind("cycle", 12)):
+        with pytest.raises(BudgetError, match=r"copies, over the 250000 ceiling"):
+            min_structure_cut(4, kind, "substructure")
+    # Q4 P11 substructure, 173,808 copies, is the largest path pool still searched
+    oracle._check_budget(4, StructureKind("path", 11), "substructure", SearchBudget())
+    oracle._check_budget(4, StructureKind("path", 16), "structure", SearchBudget())
 
 
 def test_enumerate_copies_returns_a_fresh_list():
