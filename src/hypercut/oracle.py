@@ -1,17 +1,20 @@
 """Brute-force ground truth for structure/substructure connectivity.
 
-The oracle builds every embedded copy of the structure (or of its
-connected subgraphs) one (shape, size) block at a time: orderly walks at
-vertex 0 give each block's seeds, and one pass of the automorphism group
-per orbit gives every copy.  Then it searches families by increasing
-size until one disconnects or trivializes the cube.  The first element
-of a family is restricted to one representative per automorphism orbit,
-which is sound: any cut can be carried by an automorphism onto one whose
-minimum-orbit element is that orbit's representative, and orbit indices
-are preserved, so the remaining elements only need to range over orbits
-at least as large.  Before each exhaustive pass, a cheap seeded pass
-hunts for cuts that isolate a fixed vertex or edge, since every known
-minimum cut here does exactly that.
+The copies of the structure (or of its connected subgraphs) come in
+(shape, size) blocks, and orderly walks at vertex 0 give each block's
+seeds: every copy is an automorphic image of a seed.  An automorphism
+keeps "is a cut", so level 1 (one element alone) is answered from the
+seeds, with no copy built.  Only when no single element is a cut does the
+oracle build the pool, one pass of the automorphism group per orbit, and
+search families of size 2, 3, ... until one disconnects or trivializes
+the cube.  The first element of a family is restricted to one
+representative per automorphism orbit, which is sound: any cut can be
+carried by an automorphism onto one whose minimum-orbit element is that
+orbit's representative, and orbit indices are preserved, so the
+remaining elements only need to range over orbits at least as large.
+Before each exhaustive pass, a cheap seeded pass hunts for cuts that
+isolate a fixed vertex or edge, since every known minimum cut here does
+exactly that.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import attrgetter
 from typing import Mapping
 
 from .analysis import is_disconnecting_mask, neighborhood_vertex_mask
@@ -75,10 +79,8 @@ class OracleResult:
 
 
 _SHAPE_ORDER = {"path": 0, "cycle": 1, "star": 2}
-
-
-def _shape_key(el: CutElement) -> tuple[int, tuple[int, ...]]:
-    return (_SHAPE_ORDER[el.shape], el.verts)
+# The element a canonical vertex tuple stands for, by shape.
+_ELEMENT = {"path": CubePath, "cycle": CubeCycle, "star": lambda n, verts: CubeStar(n, verts[0], verts[1:])}
 
 
 def _canon(shape: str, verts: tuple[int, ...]) -> tuple[int, ...]:
@@ -134,6 +136,34 @@ def _block_size(n: int, shape: str, size: int) -> int:
     return (labelled << n) // labellings
 
 
+def _orderly(walk: tuple[int, ...]) -> tuple[int, ...]:
+    """The walk translated to start at 0, its coordinates renumbered in order of first crossing."""
+    renamed: dict[int, int] = {}
+    out = [0]
+    for a, b in zip(walk, walk[1:]):
+        out.append(out[-1] ^ renamed.setdefault(a ^ b, 1 << len(renamed)))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _block_orbits(n: int, shape: str, size: int) -> int:
+    """The number of orbits of pool_block(n, shape, size), counted from its seeds alone.
+
+    The seeds of one orbit are the orderly relabellings of the labellings
+    of any of its copies, so a seed opens an orbit exactly when it is the
+    least orderly relabelling of its own labellings: 2 as a path, 2 * size
+    as a cycle.  A star block is one orbit.
+    """
+    seeds = _seeds(n, shape, size)
+    if shape == "star":
+        return len(seeds)
+    if shape == "path":
+        return sum(seed <= _orderly(seed[::-1]) for seed in seeds)
+    return sum(all(seed <= _orderly(walk) for i in range(size)
+                   for walk in (seed[i:] + seed[:i], seed[i::-1] + seed[:i:-1]))
+               for seed in seeds)
+
+
 def enumerate_copies(n: int, kind: StructureKind, mode: str = STRUCTURE) -> list[CutElement]:
     """Every embedded element admissible for (kind, mode), deduplicated canonically.
 
@@ -164,29 +194,33 @@ def pool_block(n: int, shape: str, size: int) -> tuple[tuple[CutElement, ...], t
         raise AssertionError(f"{shape}({size}) of Q_{n} grew {len(keys)} copies, not {_block_size(n, shape, size)}")
     number: dict[int, int] = {}
     orbit_of = tuple(number.setdefault(orbit[key], len(number)) for key in keys)
-    make = {"path": CubePath, "cycle": CubeCycle, "star": lambda dim, key: CubeStar(dim, key[0], key[1:])}[shape]
+    make = _ELEMENT[shape]
     return tuple(make(n, key) for key in keys), tuple(sum(1 << v for v in key) for key in keys), orbit_of
 
 
 def _pool(n: int, kind: StructureKind, mode: str) -> tuple[list[CutElement], list[int], list[int], list[int]]:
     """The (kind, mode) pool from its blocks: (elements, masks, orbit_of, reps).
 
-    Blocks are merged in _shape_key order and orbits numbered by first
-    appearance, which is what partitioning the whole pool would give.
+    The sorted blocks are merged by (shape rank, vertex tuple), a key no
+    two copies share, and orbits numbered by first appearance, which is
+    what partitioning the whole pool would give.
     """
     shapes = admissible_shapes(kind, mode)
     els: list[CutElement] = []
     masks: list[int] = []
     tagged: list[int] = []  # block-local orbits shifted past the orbits of earlier blocks
+    keys: list[tuple[int, tuple[int, ...]]] = []
     shift = 0
     for shape, size in shapes:
         block_els, block_masks, block_orbits = pool_block(n, shape, size)
         els += block_els
         masks += block_masks
         tagged += [o + shift for o in block_orbits]
+        keys += zip(repeat(_SHAPE_ORDER[shape]), map(attrgetter("verts"), block_els))
         shift += max(block_orbits, default=-1) + 1
     if len(shapes) > 1:
-        order = sorted(range(len(els)), key=lambda i: _shape_key(els[i]))
+        # each block is a sorted run of keys, which timsort finds and merges with no Python call per copy
+        order = sorted(range(len(keys)), key=keys.__getitem__)
         els, masks, tagged = [els[i] for i in order], [masks[i] for i in order], [tagged[i] for i in order]
     first: dict[int, int] = {}  # each orbit's first pool index, in order of first appearance
     for i, o in enumerate(tagged):
@@ -208,7 +242,8 @@ _SANCTIONED_AT_5 = frozenset([("path", 1), ("path", 2), ("path", 3), ("path", 4)
 _COPY_CEILING = 250_000
 
 
-def _check_budget(n: int, kind: StructureKind, mode: str, budget: SearchBudget) -> None:
+def _check_budget(n: int, kind: StructureKind, mode: str, budget: SearchBudget) -> int:
+    """The number of copies in the (kind, mode) pool, or BudgetError if the search is refused."""
     limit = min(budget.max_dimension, MAX_SEARCH_DIM)
     if n > limit:
         raise BudgetError(f"dimension {n} above the search limit {limit}")
@@ -223,6 +258,7 @@ def _check_budget(n: int, kind: StructureKind, mode: str, budget: SearchBudget) 
     if copies > _COPY_CEILING:
         raise BudgetError(f"the {mode} {kind.label()} pool of Q_{n} holds {copies} copies,"
                           f" over the {_COPY_CEILING} ceiling")
+    return copies
 
 
 def _cut_test(n: int, mask: int, memo: dict[int, bool], stats: dict[str, int]) -> bool:
@@ -234,6 +270,20 @@ def _cut_test(n: int, mask: int, memo: dict[int, bool], stats: dict[str, int]) -
     stats["cut_tests"] += 1
     memo[mask] = result
     return result
+
+
+def _single_cut(n: int, shapes: tuple[tuple[str, int], ...], stats: dict[str, int]) -> CutElement | None:
+    """The first seed, in block and DFS order, whose removal alone is a cut; None if no copy's is.
+
+    Every copy is an automorphic image of a seed, so the seeds answer for
+    their whole blocks.  Masks shared by several seeds are tested once.
+    """
+    memo: dict[int, bool] = {}
+    for shape, size in shapes:
+        for seed in _seeds(n, shape, size):
+            if _cut_test(n, sum(1 << v for v in seed), memo, stats):
+                return _ELEMENT[shape](n, _canon(shape, seed))
+    return None
 
 
 _Candidates = list[tuple[int, list[int], list[int], list[int]]]
@@ -314,8 +364,7 @@ def _level_search(
         )
     for r in reps:
         o = orbit_of[r]
-        # at s = 1, combinations(cands, 0) yields one empty tuple: each representative alone
-        cands = [j for j in range(len(masks)) if j != r and orbit_of[j] >= o] if s > 1 else []
+        cands = [j for j in range(len(masks)) if j != r and orbit_of[j] >= o]
         base = masks[r]
         for comb in combinations(cands, s - 1):
             union = base
@@ -334,25 +383,32 @@ def min_structure_cut(
 ) -> OracleResult:
     """Minimum family size whose removal disconnects or trivializes Q_n.
 
-    Iterative deepening over the family size; exact results carry a
-    witness, and running past the size budget yields a lower bound, never
-    a wrong exact value.
+    Level 1 is answered from the seeds of each block (_single_cut).  Only
+    if no single element is a cut, and the budget allows families of 2 or
+    more, is the pool built, for the seeded and exhaustive passes at
+    s = 2, 3, ...  Exact results carry a witness, and running past the size
+    budget yields a lower bound, never a wrong exact value.
     """
     budget = budget or SearchBudget()
-    _check_budget(n, kind, mode, budget)
-    pool, masks, orbit_of, reps = _pool(n, kind, mode)
-    if not pool:
+    copies = _check_budget(n, kind, mode, budget)
+    if not copies:
         raise ValueError(f"no embedded copies of {kind.label()} exist in Q_{n}")
+    shapes = admissible_shapes(kind, mode)
     stats = {
-        "copies": len(pool),
-        "orbits": len(reps),
+        "copies": copies,
+        "orbits": sum(_block_orbits(n, shape, size) for shape, size in shapes),
         "cut_tests": 0,
         "memo_hits": 0,
     }
-    candidates = _seed_candidates(n, masks)
-    for s in range(1, budget.max_family_size + 1):
-        hit = _level_search(n, masks, orbit_of, reps, candidates, s, stats)
-        if hit is not None:
-            witness = CutFamily(n, kind, mode, tuple(pool[i] for i in hit))
-            return OracleResult(s, EXACT, witness, stats=stats)
+    single = _single_cut(n, shapes, stats)
+    if single is not None:
+        return OracleResult(1, EXACT, CutFamily(n, kind, mode, (single,)), stats=stats)
+    if budget.max_family_size >= 2:
+        pool, masks, orbit_of, reps = _pool(n, kind, mode)
+        candidates = _seed_candidates(n, masks)
+        for s in range(2, budget.max_family_size + 1):
+            hit = _level_search(n, masks, orbit_of, reps, candidates, s, stats)
+            if hit is not None:
+                witness = CutFamily(n, kind, mode, tuple(pool[i] for i in hit))
+                return OracleResult(s, EXACT, witness, stats=stats)
     return OracleResult(budget.max_family_size + 1, LOWER_BOUND, None, stats=stats)

@@ -207,9 +207,10 @@ def _oracle_pin_commands():
 
 
 # every kind and mode at n = 3, 4 with the default family-size budget, and two
-# n = 5 searches; re-recorded when the seeded pass began cut-testing the union of
-# the elements it chose, which changed witnesses and counters but no value
-_ORACLE_SHA256 = "870c035c6d2cb6ba772aa3ad7687459c7b2a1d4f28f8e90fcd50ca1758b445bb"
+# n = 5 searches; re-recorded when level 1 came to be answered from the seeds of
+# each block, which changed the witnesses of the answers of 1 and the cut_tests and
+# memo_hits counters, but no value, status, copies or orbits
+_ORACLE_SHA256 = "6980a1d58e7e641c9243dcd35df8f3761b9aab31bd3bee9d65f0b8a80a140f70"
 
 
 def test_oracle_stdout_is_byte_stable(capsys):
@@ -244,6 +245,19 @@ def test_oracle_refuses_pools_over_the_copy_ceiling_before_building(capsys, monk
     assert code == 3
     assert out == ""
     assert "substructure P16 pool of Q_4 holds 725424 copies, over the 250000 ceiling" in err
+
+
+@pytest.mark.parametrize("argv", [("--k", "8"), ("--k", "11", "--mode", "substructure")])
+def test_oracle_answers_1_from_the_seeds_without_building_a_block(capsys, monkeypatch, argv):
+    def pool_block(*args):
+        raise AssertionError("a pool block was built for an answer of 1")
+
+    pool_block.cache_clear = lambda: None  # main clears the block cache as it starts
+    monkeypatch.setattr(cli.oracle, "pool_block", pool_block)
+    code, out, _ = run(capsys, "oracle", "--n", "4", "--kind", "path", *argv)
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["value"], payload["status"], len(payload["witness"]["elements"])) == (1, "exact", 1)
 
 
 @pytest.mark.parametrize("mode", ["structure", "substructure"])
@@ -502,12 +516,15 @@ def test_render_dot_components_colored():
 
 
 # (arguments, sha256 of stdout); the "unset" digest, named for the unset oracle
-# ceiling it was first recorded under, is the one perfbench/workloads.py pins
+# ceiling it was first recorded under, and the "paths-nmax-11" digest are the two
+# that perfbench/workloads.py pins
 _PINNED_STDOUT = {
     "unset": (("verify", "--scope", "all", "--jobs", "1"),
               "646e4b8e7577b7f52d7fbdba0bbf9e41e408d0e5b36fb0afb91506dfd24face3"),
     "cycles-csv": (("verify", "--scope", "cycles", "--format", "csv", "--jobs", "1"),
                    "883b5296cad3b512a2a3156a209985ac50129f3d385a9eb636910e17ec3688c4"),
+    "paths-nmax-11": (("verify", "--scope", "paths", "--nmax", "11", "--jobs", "1"),
+                      "f6ae5f6a8d29ef16b445ce69809696db98d23b35655db55f7d6abd42714a9b5e"),
 }
 
 

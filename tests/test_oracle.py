@@ -174,7 +174,8 @@ def test_verify_no_smaller_cut():
     assert not no_smaller_cut(3, StructureKind("path", 3), 3)
 
 
-def test_lower_bound_on_budget_exhaustion():
+def test_lower_bound_on_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(oracle, "pool_block", _no_block)  # a miss at level 1 with max_family_size 1 needs no pool
     result = min_structure_cut(4, StructureKind("path", 6), budget=SearchBudget(max_family_size=1))
     assert result.status == "lower-bound"
     assert result.value == 2
@@ -438,6 +439,39 @@ def test_copy_ceiling_refuses_large_pools_before_building(monkeypatch):
     # Q4 P11 substructure, 173,808 copies, is the largest path pool still searched
     oracle._check_budget(4, StructureKind("path", 11), "substructure", SearchBudget())
     oracle._check_budget(4, StructureKind("path", 16), "structure", SearchBudget())
+
+
+# every path, cycle and star block at n <= 4 with k <= 10, and the blocks sanctioned at n = 5;
+# Q4 C12 is the first cycle block at n <= 4 whose orbits need both the rotations and the reflections
+_SEEDED_BLOCKS = (
+    [(n, "path", k) for n in (1, 2, 3, 4) for k in range(1, min(10, 1 << n) + 1)]
+    + [(n, "cycle", k) for n in (2, 3, 4) for k in range(4, min(10, 1 << n) + 1, 2)] + [(4, "cycle", 12)]
+    + [(n, "star", r) for n in (2, 3, 4) for r in range(2, n + 1)]
+    + [(5, "path", k) for k in (1, 2, 3, 4)] + [(5, "cycle", 4), (5, "cycle", 8)]
+)
+
+
+@pytest.mark.parametrize("n,shape,size", _SEEDED_BLOCKS, ids=[f"Q{n}-{s}{k}" for n, s, k in _SEEDED_BLOCKS])
+def test_seeds_answer_level_1_and_count_the_orbits_of_their_block(n, shape, size):
+    els, masks, orbit_of = pool_block(n, shape, size)
+    stats = {"cut_tests": 0, "memo_hits": 0}
+    single = oracle._single_cut(n, ((shape, size),), stats)
+    assert (single is not None) == any(is_disconnecting_mask(n, m) for m in masks)
+    if single is None:  # a miss has tested every seed's mask, each once
+        seed_masks = [sum(1 << v for v in seed) for seed in oracle._seeds(n, shape, size)]
+        assert (stats["cut_tests"], stats["memo_hits"]) == (len(set(seed_masks)), len(seed_masks) - len(set(seed_masks)))
+    else:
+        assert single in els
+        assert is_disconnecting_mask(n, sum(1 << v for v in single.verts))
+    assert oracle._block_orbits(n, shape, size) == len(set(orbit_of))
+
+
+@pytest.mark.parametrize("kind,mode", [(StructureKind("path", 8), "structure"), (StructureKind("cycle", 8), "substructure")])
+def test_answers_of_1_build_no_block(monkeypatch, kind, mode):
+    monkeypatch.setattr(oracle, "pool_block", _no_block)
+    result = min_structure_cut(4, kind, mode)
+    assert (result.value, result.status, len(result.witness.elements)) == (1, "exact", 1)
+    assert validate_cut(result.witness).ok
 
 
 def test_enumerate_copies_returns_a_fresh_list():

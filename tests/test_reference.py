@@ -124,6 +124,8 @@ def _minimum_cases():
             yield 3, kind, k, mode
         for kind, k in [("vertex", None), ("edge", None), ("path", 3)] + [("star", r) for r in (2, 3, 4)]:
             yield 4, kind, k, mode
+        for kind, k in (("path", 7), ("path", 8), ("cycle", 8)):  # answered at level 1, from the seeds
+            yield 4, kind, k, mode
 
 
 def test_oracle_minimum_matches_the_reference_search():
@@ -134,7 +136,7 @@ def test_oracle_minimum_matches_the_reference_search():
         assert result.status == "exact", (n, kind, k, mode)
         assert result.value == _reference_minimum(n, kind, k, mode), (n, kind, k, mode)
         cases += 1
-    assert cases == 42
+    assert cases == 48
 
 
 def test_every_pinned_oracle_witness_is_a_cut_by_the_reference(capsys):
