@@ -8,7 +8,6 @@ scale.
 
 from .analysis import (
     CutVerdict,
-    check_pair_neighbor_counts,
     components_after_removal,
     g_extra_connectivity,
     path_neighbor_bound,
@@ -74,7 +73,6 @@ __all__ = [
     "adjacent",
     "build_cycle_cut",
     "build_path_cut",
-    "check_pair_neighbor_counts",
     "components_after_removal",
     "edge_mapping_automorphism",
     "embed_even_cycle",

@@ -9,15 +9,13 @@ C(16, s) removal sets of Q_4 cheap.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
-from .core import Cube, adjacent
+from .core import Cube
 from .cuts import CutFamily, admissible_shapes
-from .embeddings import CubeCycle, CubePath, random_embedded_cycle, random_embedded_path
 
 
 @lru_cache(maxsize=None)
@@ -147,28 +145,11 @@ def validate_cut(family: CutFamily) -> CutVerdict:
 def path_neighbor_bound(k: int) -> int:
     """Cap on |N({u,v}) & V(P_k)| for an adjacent pair outside the path: 2*floor(k/3) + k mod 3.
 
-    Always at most k - 1.
+    Always at most k - 1.  oracle.neighbor_count_maximum checks it at every n.
     """
     if k < 3:
         raise ValueError(f"bound is defined for k >= 3, got {k}")
     return 2 * (k // 3) + k % 3
-
-
-def check_pair_neighbor_counts(
-    n: int, pair: tuple[int, int], obstacle: CubePath | CubeCycle
-) -> int:
-    """|N({u,v}) & V(obstacle)| for an adjacent pair u, v disjoint from the obstacle."""
-    u, v = pair
-    cube = Cube(n)
-    cube.check_vertex(u)
-    cube.check_vertex(v)
-    if not adjacent(u, v):
-        raise ValueError(f"{u} and {v} are not adjacent")
-    obstacle_set = set(obstacle.verts)
-    if u in obstacle_set or v in obstacle_set:
-        raise ValueError("pair intersects the obstacle")
-    around = (set(cube.neighbors(u)) | set(cube.neighbors(v))) - {u, v}
-    return len(around & obstacle_set)
 
 
 def g_extra_connectivity(n: int, g: int) -> int:
@@ -191,9 +172,6 @@ def g_extra_connectivity(n: int, g: int) -> int:
     raise ValueError(f"no removal of Q_{n} satisfies the g = {g} condition")
 
 
-# --- randomized property suites (seeded; also driven by the CLI) ---
-
-
 def scan_distance2_common_neighbors(n: int) -> int:
     """Count distance-2 pairs without exactly 2 common neighbors (expected 0), exhaustively."""
     cube = Cube(n)
@@ -205,55 +183,3 @@ def scan_distance2_common_neighbors(n: int) -> int:
                 if v < u and len(cube.common_neighbors(v, u)) != 2:
                     violations += 1
     return violations
-
-
-# Draws before _random_outside_pair gives up: an obstacle may leave no adjacent pair outside it.
-PAIR_DRAWS = 10_000
-
-
-def _random_outside_pair(n: int, blocked: frozenset[int], rng: random.Random) -> tuple[int, int]:
-    size = 1 << n
-    for _ in range(PAIR_DRAWS):
-        u = rng.randrange(size)
-        if u in blocked:
-            continue
-        v = u ^ (1 << rng.randrange(n))
-        if v not in blocked:
-            return u, v
-    raise RuntimeError(f"no adjacent pair outside the obstacle found in {PAIR_DRAWS} draws")
-
-
-def _bound_trials(
-    n: int, ks: Iterable[int], trials: int, rng: random.Random, sample, bound
-) -> list[tuple[int, tuple[int, ...], tuple[int, int], int]]:
-    """Sample (obstacle, outside adjacent pair) per k; keep the samples over bound(k)."""
-    ks = list(ks)
-    violations = []
-    per_k = max(1, trials // len(ks))
-    for k in ks:
-        cap = bound(k)
-        for _ in range(per_k):
-            obstacle = sample(n, k, rng)
-            pair = _random_outside_pair(n, obstacle.vertex_set(), rng)
-            count = check_pair_neighbor_counts(n, pair, obstacle)
-            if count > cap:
-                violations.append((k, obstacle.verts, pair, count))
-    return violations
-
-
-def run_path_bound_trials(
-    n: int, ks: Iterable[int], trials: int, rng: random.Random
-) -> list[tuple[int, tuple[int, ...], tuple[int, int], int]]:
-    """Random (embedded path, outside adjacent pair) samples vs the 2q+r cap.
-
-    Returns the violating samples (expected none) as
-    (k, path vertices, pair, observed count).
-    """
-    return _bound_trials(n, ks, trials, rng, random_embedded_path, path_neighbor_bound)
-
-
-def run_cycle_bound_trials(
-    n: int, ks: Iterable[int], trials: int, rng: random.Random
-) -> list[tuple[int, tuple[int, ...], tuple[int, int], int]]:
-    """Random (embedded k-cycle, outside adjacent pair) samples vs the k - 1 cap."""
-    return _bound_trials(n, ks, trials, rng, random_embedded_cycle, lambda k: k - 1)

@@ -3,7 +3,8 @@
 Subcommands: construct (build and dump a cut family), verify (compare the
 closed-form values against brute force and constructions), oracle (run a
 single minimum-cut search), export-dot (draw the cube with removals and
-component coloring), property-test (seeded randomized bound suites).
+component coloring), property-test (exhaustive checks of the neighbour-count
+bounds and of the common-neighbour count).
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or range error,
 3 budget exhausted where exactness was demanded.  Machine-readable output
@@ -16,7 +17,6 @@ import argparse
 import csv
 import io
 import json
-import random
 import sys
 import time
 from typing import Callable
@@ -42,16 +42,6 @@ MAX_DOT_DIM = 8
 # The largest property-test --nmax: the common-neighbour scan takes 2^n * C(n, 2)
 # steps, which came to 7-8 s at --nmax 14 and about 5.5 times that at 16 on 2 vCPUs.
 MAX_SCAN_DIM = 14
-# The smallest property-test --n: below it a sampled obstacle can leave no adjacent pair
-# outside it, so the pair draw fails. Counted over every element: at n = 3, 24 of 120 P6,
-# every P7 and P8, 4 of 16 C6 and every C8 do; at n = 4 no P3..P9, C4, C6 or C8 does.
-MIN_SAMPLE_DIM = 4
-# The largest property-test --n: cycle-bound samples cycles by closing random walks, and
-# --trials 200 took 1.3 / 2.0 / 3.8 / 6.5 s at n = 20 / 24 / 28 / 32 on 2 vCPUs.
-MAX_SAMPLE_DIM = 24
-# The largest property-test --trials, the default: sampling is linear in it, and at --n 24
-# cycle-bound took 1.7 / 8.4 s for 200 / 1,000 trials and suite all 88 s at the cap on 2 vCPUs.
-MAX_TRIALS = 10_000
 
 _PALETTE = (
     "#66c2a5", "#fc8d62", "#8da0cb", "#e78ac3",
@@ -355,31 +345,32 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 # --- property-test ---
 
 
+# property-test bound suite -> (shape, k range, bound on the count, d_max(k): the most coordinates a copy crosses)
+_BOUND_SUITES = {
+    "path-bound": ("path", range(3, 11), analysis.path_neighbor_bound, lambda k: k - 1),
+    "cycle-bound": ("cycle", range(4, 11, 2), lambda k: k - 1, lambda k: k // 2),
+}
+
+
 def cmd_property_test(args: argparse.Namespace) -> int:
     if not 2 <= args.nmax <= MAX_SCAN_DIM:
         raise ValueError(f"--nmax must be in [2, {MAX_SCAN_DIM}], got {args.nmax}")
-    if args.n < MIN_SAMPLE_DIM:
-        raise ValueError(f"--n must be at least {MIN_SAMPLE_DIM}, got {args.n}")
-    if args.n > MAX_SAMPLE_DIM:
-        raise ValueError(f"--n must be at most {MAX_SAMPLE_DIM}, got {args.n}")
-    if not 1 <= args.trials <= MAX_TRIALS:
-        raise ValueError(f"--trials must be in [1, {MAX_TRIALS}], got {args.trials}")
-    suites = ["common-neighbors", "path-bound", "cycle-bound"] if args.suite == "all" else [args.suite]
-    rng = random.Random(args.seed)
+    suites = ["common-neighbors", *_BOUND_SUITES] if args.suite == "all" else [args.suite]
     rows = []
     for suite in suites:
         if suite == "common-neighbors":
             bad = sum(analysis.scan_distance2_common_neighbors(n) for n in range(2, args.nmax + 1))
             rows.append(_row("property", suite, "pass" if bad == 0 else "fail",
                              f"exhaustive n <= {args.nmax}", expected=0, actual=bad))
-        else:
-            if suite == "path-bound":
-                violations = analysis.run_path_bound_trials(args.n, range(3, 10), args.trials, rng)
-            else:
-                violations = analysis.run_cycle_bound_trials(args.n, (4, 6, 8), args.trials, rng)
-            rows.append(_row("property", suite, "pass" if not violations else "fail",
-                             f"trials={args.trials} n={args.n}", expected=0, actual=len(violations)))
-    parameters = {"suite": args.suite, "seed": args.seed, "trials": args.trials, "n": args.n}
+            continue
+        shape, ks, bound, d_max = _BOUND_SUITES[suite]
+        for k in ks:
+            n = d_max(k) + 2  # the maximum is the same at every n from here on, and no larger below
+            maximum = oracle.neighbor_count_maximum(n, shape, k)
+            rows.append(_row("property", suite, "pass" if maximum <= bound(k) else "fail",
+                             "exhaustive; the maximum over every n",
+                             n=n, k=k, expected=bound(k), actual=maximum))
+    parameters = {"suite": args.suite, "nmax": args.nmax}
     return _emit_report("property-test", parameters, rows, args.format, args.out)
 
 
@@ -422,12 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(handler=cmd_export_dot)
 
-    p = sub.add_parser("property-test", help="seeded randomized bound suites")
+    # no abbreviations, so the retired sampler flag --n is refused, not read as --nmax
+    p = sub.add_parser("property-test", help="exhaustive neighbour-count and common-neighbour checks",
+                       allow_abbrev=False)
     p.add_argument("--suite", choices=["common-neighbors", "path-bound", "cycle-bound", "all"],
                    default="all")
-    p.add_argument("--seed", type=int, default=20250810)
-    p.add_argument("--trials", type=int, default=MAX_TRIALS)
-    p.add_argument("--n", type=int, default=6)
     p.add_argument("--nmax", type=int, default=10)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out")

@@ -16,7 +16,6 @@ per step, so a k-vertex element costs O(k) big-int operations at any n.
 from __future__ import annotations
 
 import operator
-import random
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import ClassVar
@@ -244,45 +243,3 @@ def restrict_to_subcube(
     lifted = type(inner)(ambient_n, tuple(base | v for v in inner.verts))
     require_valid(lifted)
     return lifted
-
-
-# Walks each sampler draws before giving up with RuntimeError.
-PATH_ATTEMPTS = 10_000
-CYCLE_ATTEMPTS = 100_000
-
-
-def _random_walk(n: int, k: int, rng: random.Random) -> list[int] | None:
-    """One self-avoiding walk on k vertices from a uniform start, or None at a dead end."""
-    verts = [rng.randrange(1 << n)]
-    used = set(verts)  # a set, not a 2^n-bit mask, so a step costs O(n) at any n
-    while len(verts) < k:
-        options = [verts[-1] ^ (1 << i) for i in range(n)]
-        options = [w for w in options if w not in used]
-        if not options:
-            return None
-        w = rng.choice(options)
-        verts.append(w)
-        used.add(w)
-    return verts
-
-
-def random_embedded_path(n: int, k: int, rng: random.Random) -> CubePath:
-    """A uniformly-started self-avoiding walk on k vertices, retrying dead ends."""
-    if k < 1 or k > 1 << n:
-        raise ValueError(f"path on {k} vertices does not fit in Q_{n}")
-    for _ in range(PATH_ATTEMPTS):
-        verts = _random_walk(n, k, rng)
-        if verts:
-            return CubePath(n, tuple(verts))
-    raise RuntimeError(f"no path on {k} vertices found in {PATH_ATTEMPTS} attempts")
-
-
-def random_embedded_cycle(n: int, k: int, rng: random.Random) -> CubeCycle:
-    """A random cycle of length k, sampled by closing self-avoiding walks."""
-    if k % 2 or k < 4 or k > 1 << n:
-        raise ValueError(f"no cycle of length {k} in Q_{n}")
-    for _ in range(CYCLE_ATTEMPTS):
-        verts = _random_walk(n, k, rng)
-        if verts and adjacent(verts[-1], verts[0]):
-            return CubeCycle(n, tuple(verts))
-    raise RuntimeError(f"no cycle of length {k} found in {CYCLE_ATTEMPTS} attempts")

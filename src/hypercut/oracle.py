@@ -122,6 +122,37 @@ def _seeds(n: int, shape: str, size: int) -> list[tuple[int, ...]]:
     return out
 
 
+def neighbor_count_maximum(n: int, shape: str, k: int) -> int | None:
+    """The largest |N({u,v}) & V(H)| over copies H of (shape, k) in Q_n and adjacent u, v outside H.
+
+    None when no copy leaves an adjacent pair outside it.  The count is
+    kept by automorphisms, so the seeds answer for every copy.  Q_n is
+    bipartite, so adjacent u and v have disjoint neighbourhoods and the
+    count is c(u) + c(v), where c(x) = |N(x) & V(H)|.  A seed crosses
+    coordinates 0..d-1, and a vertex with c > 0 sets at most one coordinate
+    beyond them, so a pair with a nonzero count sets at most two; an
+    automorphism fixing the seed carries them onto d and d + 1.  So each
+    seed is evaluated in Q_min(n, d+2), and the maximum is the same at
+    every n >= d_max + 2 (d_max is k - 1 for P_k, k/2 for C_k).  d + 1
+    happens to give the same maxima for P3..P10 and C4..C10, but it drops
+    pairs such as u = x ^ e_d, v = u ^ e_(d+1), so it proves nothing.
+    """
+    best = None
+    for seed in _seeds(n, shape, k):
+        bits = [1 << i for i in range(min(n, max(seed).bit_length() + 2))]
+        inside = set(seed)
+        count = Counter(x ^ b for x in seed for b in bits)  # c(x) for every x with c(x) > 0
+        for x in seed:
+            count.pop(x, None)
+        for u, c in count.items():
+            for b in bits:
+                if u ^ b not in inside:
+                    total = c + count.get(u ^ b, 0)
+                    if best is None or total > best:
+                        best = total
+    return best
+
+
 @lru_cache(maxsize=None)
 def _block_size(n: int, shape: str, size: int) -> int:
     """The number of copies in pool_block(n, shape, size), counted from its seeds alone.

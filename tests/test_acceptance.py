@@ -4,14 +4,12 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines and timings.
 """
 
-import random
 import time
 
 from hypercut.analysis import (
     components_after_removal,
     g_extra_connectivity,
-    run_cycle_bound_trials,
-    run_path_bound_trials,
+    path_neighbor_bound,
     scan_distance2_common_neighbors,
     validate_cut,
 )
@@ -23,9 +21,7 @@ from hypercut.formulas import (
     kappa_power_of_two_cycle,
     verify_budengs_inequality,
 )
-from hypercut.oracle import SearchBudget, enumerate_copies, min_structure_cut
-
-SEED = 20250810
+from hypercut.oracle import SearchBudget, enumerate_copies, min_structure_cut, neighbor_count_maximum
 
 
 def _report(number: int, ok: bool, detail: str, elapsed: float, limit: float) -> None:
@@ -124,14 +120,14 @@ def test_criterion_7_inequality_sweep():
 def test_criterion_8_property_suites():
     start = time.perf_counter()
     bad_pairs = sum(scan_distance2_common_neighbors(n) for n in range(2, 11))
-    rng = random.Random(SEED)
-    path_violations = run_path_bound_trials(6, range(3, 10), 10_000, rng)
-    cycle_violations = run_cycle_bound_trials(6, (4, 6, 8), 10_000, rng)
-    ok = bad_pairs == 0 and not path_violations and not cycle_violations
+    # each maximum is taken where it stops growing: n = k + 1 for P_k, k/2 + 2 for C_k
+    path_over = [k for k in range(3, 11) if neighbor_count_maximum(k + 1, "path", k) > path_neighbor_bound(k)]
+    cycle_over = [k for k in range(4, 11, 2) if neighbor_count_maximum(k // 2 + 2, "cycle", k) > k - 1]
+    ok = bad_pairs == 0 and not path_over and not cycle_over
     _report(
         8, ok,
-        "common-neighbor scan n<=10 plus 10^4-trial path/cycle bound suites in Q6, "
-        f"violations={bad_pairs}/{len(path_violations)}/{len(cycle_violations)}",
+        "common-neighbor scan n<=10 plus the exhaustive P3..P10 and C4..C10 neighbour-count maxima, "
+        f"violations={bad_pairs}/{path_over}/{cycle_over}",
         time.perf_counter() - start, 120.0,
     )
 

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,13 +5,10 @@ from hypercut.analysis import (
     MALFORMED,
     NOT_A_CUT,
     VALID_CUT,
-    check_pair_neighbor_counts,
     components_after_removal,
     g_extra_connectivity,
     is_disconnecting_mask,
     path_neighbor_bound,
-    run_cycle_bound_trials,
-    run_path_bound_trials,
     scan_distance2_common_neighbors,
     validate_cut,
     vertex_mask,
@@ -198,26 +193,6 @@ def test_path_neighbor_bound_values():
         path_neighbor_bound(2)
 
 
-def test_check_pair_neighbor_counts_example():
-    # obstacle 0100, 1100, 1101 -> labels 2, 3, 11; pair 0000, 1000 -> 0, 1
-    obstacle = CubePath(4, (2, 3, 11))
-    count = check_pair_neighbor_counts(4, (0, 1), obstacle)
-    assert count == 2
-    assert count <= path_neighbor_bound(3)
-
-
-def test_check_pair_neighbor_counts_disjoint():
-    obstacle = CubePath(4, (15, 14))
-    assert check_pair_neighbor_counts(4, (0, 1), obstacle) == 0
-
-
-def test_check_pair_neighbor_counts_rejections():
-    with pytest.raises(ValueError):
-        check_pair_neighbor_counts(4, (0, 3), CubePath(4, (15, 14)))
-    with pytest.raises(ValueError):
-        check_pair_neighbor_counts(4, (0, 1), CubePath(4, (1, 3)))
-
-
 def test_g_extra_small_values():
     assert g_extra_connectivity(3, 0) == 3
     assert g_extra_connectivity(4, 0) == 4
@@ -235,19 +210,3 @@ def test_g_extra_rejections():
 def test_scan_distance2_common_neighbors():
     for n in range(2, 8):
         assert scan_distance2_common_neighbors(n) == 0
-
-
-def test_path_bound_trials_small():
-    rng = random.Random(5)
-    assert run_path_bound_trials(5, range(3, 8), 500, rng) == []
-
-
-def test_bound_trials_give_up_when_no_pair_lies_outside():
-    # every 8-vertex path of Q3 is Hamiltonian, so no vertex is left to draw
-    with pytest.raises(RuntimeError, match="no adjacent pair outside"):
-        run_path_bound_trials(3, [8], 1, random.Random(0))
-
-
-def test_cycle_bound_trials_small():
-    rng = random.Random(5)
-    assert run_cycle_bound_trials(5, (4, 6), 300, rng) == []

@@ -407,13 +407,30 @@ def test_export_dot_rejects_large_n(capsys):
 
 
 def test_property_test_deterministic(capsys):
-    args = ("property-test", "--suite", "path-bound", "--n", "5",
-            "--trials", "200", "--seed", "99")
+    args = ("property-test", "--suite", "cycle-bound", "--format", "csv")
     code, first, _ = run(capsys, *args)
     assert code == 0
     _, second, _ = run(capsys, *args)
     assert first == second
-    assert json.loads(first)["rows"][0]["status"] == "pass"
+    # one row per k, at n = k/2 + 2: scope, check, n, k, (m, g, mode), bound, maximum, status
+    assert [line.split(",")[:10] for line in first.splitlines()[1:]] == [
+        ["property", "cycle-bound", str(k // 2 + 2), str(k), "", "", "", str(k - 1), str(maximum), "pass"]
+        for k, maximum in ((4, 2), (6, 4), (8, 5), (10, 6))]
+
+
+def _no_scan(*args):
+    raise AssertionError("scanned before refusing")
+
+
+@pytest.mark.parametrize("argv", [("--trials", "10"), ("--seed", "1"), ("--n", "6")], ids=["trials", "seed", "n"])
+def test_property_test_refuses_the_sampling_flags(capsys, monkeypatch, argv):
+    # the suites sample nothing, so the parser refuses these flags
+    monkeypatch.setattr(cli.analysis, "scan_distance2_common_neighbors", _no_scan)
+    monkeypatch.setattr(cli.oracle, "neighbor_count_maximum", _no_scan)
+    code, out, err = run(capsys, "property-test", *argv)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
 
 
 @pytest.mark.parametrize("nmax", ["1", "-5", str(cli.MAX_SCAN_DIM + 1), "64"])
@@ -426,74 +443,6 @@ def test_property_test_refuses_nmax_out_of_range(capsys, monkeypatch, nmax):
     assert code == 2
     assert out == ""
     assert f"[2, {cli.MAX_SCAN_DIM}]" in err
-
-
-@pytest.mark.parametrize("suite", ["path-bound", "cycle-bound", "all"])
-def test_property_test_refuses_n_above_ceiling(capsys, monkeypatch, suite):
-    def sample(*args):
-        raise AssertionError("sampled before refusing")
-
-    monkeypatch.setattr(cli.analysis, "run_path_bound_trials", sample)
-    monkeypatch.setattr(cli.analysis, "run_cycle_bound_trials", sample)
-    monkeypatch.setattr(cli.analysis, "scan_distance2_common_neighbors", sample)
-    for n in (str(cli.MAX_SAMPLE_DIM + 1), "1000000000"):
-        code, out, err = run(capsys, "property-test", "--suite", suite, "--n", n)
-        assert code == 2
-        assert out == ""
-        assert f"--n must be at most {cli.MAX_SAMPLE_DIM}, got {n}" in err
-
-
-def _no_sampling(*args):
-    raise AssertionError("sampled or scanned before refusing")
-
-
-@pytest.mark.parametrize("n", ["3", "2", "0"])
-def test_property_test_refuses_n_below_floor(capsys, monkeypatch, n):
-    # at n = 3 an obstacle such as a Hamiltonian P8 leaves no adjacent pair to draw
-    monkeypatch.setattr(cli.analysis, "run_path_bound_trials", _no_sampling)
-    monkeypatch.setattr(cli.analysis, "run_cycle_bound_trials", _no_sampling)
-    monkeypatch.setattr(cli.analysis, "scan_distance2_common_neighbors", _no_sampling)
-    for suite in ("common-neighbors", "path-bound", "cycle-bound", "all"):
-        code, out, err = run(capsys, "property-test", "--suite", suite, "--n", n, "--trials", "10")
-        assert code == 2
-        assert out == ""
-        assert f"--n must be at least {cli.MIN_SAMPLE_DIM}, got {n}" in err
-
-
-def test_property_test_samples_at_the_floor(capsys):
-    for suite in ("path-bound", "cycle-bound"):
-        code, out, _ = run(capsys, "property-test", "--suite", suite, "--n", str(cli.MIN_SAMPLE_DIM),
-                           "--trials", "300")
-        assert code == 0
-        assert json.loads(out)["rows"][0]["status"] == "pass"
-
-
-@pytest.mark.parametrize("trials", ["0", "-5", str(cli.MAX_TRIALS + 1), "1000000000"])
-def test_property_test_refuses_trials_out_of_range(capsys, monkeypatch, trials):
-    monkeypatch.setattr(cli.analysis, "run_path_bound_trials", _no_sampling)
-    monkeypatch.setattr(cli.analysis, "run_cycle_bound_trials", _no_sampling)
-    monkeypatch.setattr(cli.analysis, "scan_distance2_common_neighbors", _no_sampling)
-    for suite in ("path-bound", "cycle-bound", "all"):
-        code, out, err = run(capsys, "property-test", "--suite", suite, "--trials", trials)
-        assert code == 2
-        assert out == ""
-        assert f"--trials must be in [1, {cli.MAX_TRIALS}], got {trials}" in err
-
-
-def test_property_test_samples_the_trials_cap(capsys):
-    code, out, _ = run(capsys, "property-test", "--suite", "path-bound",
-                       "--trials", str(cli.MAX_TRIALS))
-    assert code == 0
-    row = json.loads(out)["rows"][0]
-    assert row["status"] == "pass"
-    assert row["detail"] == f"trials={cli.MAX_TRIALS} n=6"
-
-
-def test_property_test_samples_at_the_ceiling(capsys):
-    code, out, _ = run(capsys, "property-test", "--suite", "path-bound",
-                       "--n", str(cli.MAX_SAMPLE_DIM), "--trials", "50")
-    assert code == 0
-    assert json.loads(out)["rows"][0]["status"] == "pass"
 
 
 def test_property_test_scans_from_dimension_2(capsys):
@@ -525,6 +474,8 @@ _PINNED_STDOUT = {
                    "883b5296cad3b512a2a3156a209985ac50129f3d385a9eb636910e17ec3688c4"),
     "paths-nmax-11": (("verify", "--scope", "paths", "--nmax", "11", "--jobs", "1"),
                       "f6ae5f6a8d29ef16b445ce69809696db98d23b35655db55f7d6abd42714a9b5e"),
+    "property-test": (("property-test",),
+                      "ac93c5e665d1bc44c7892756488327b9600cab3ea68b3c3aec00f28832002303"),
 }
 
 

@@ -12,8 +12,6 @@ from hypercut.embeddings import (
     gray_walk_from_edge,
     hamiltonian_through_edge,
     odd_path_between_adjacent,
-    random_embedded_cycle,
-    random_embedded_path,
     restrict_to_subcube,
 )
 
@@ -214,12 +212,27 @@ def test_restrict_rejects_a_low_coordinate():
             restrict_to_subcube(fixed, inner)
 
 
+def _bitmask_random_path(n, k, rng):
+    """A self-avoiding walk on k vertices from a uniform start, retrying dead ends."""
+    while True:
+        verts = [rng.randrange(1 << n)]
+        used = 1 << verts[0]
+        while len(verts) < k:
+            options = [w for w in (verts[-1] ^ (1 << i) for i in range(n)) if not used & (1 << w)]
+            if not options:
+                break
+            verts.append(rng.choice(options))
+            used |= 1 << verts[-1]
+        if len(verts) == k:
+            return tuple(verts)
+
+
 @settings(max_examples=50)
 @given(st.integers(2, 5), st.data())
 def test_restrict_preserves_invariants(inner_n, data):
     rng = random.Random(data.draw(st.integers(0, 10_000)))
     k = data.draw(st.integers(2, 1 << inner_n))
-    inner = random_embedded_path(inner_n, k, rng)
+    inner = CubePath(inner_n, _bitmask_random_path(inner_n, k, rng))
     fixed_count = data.draw(st.integers(1, 3))
     fixed = {c: data.draw(st.integers(0, 1)) for c in range(inner_n, inner_n + fixed_count)}
     lifted = restrict_to_subcube(fixed, inner)
@@ -245,7 +258,7 @@ def test_restrict_matches_bit_by_bit_lift(inner_n, fixed_count, data):
     # the fixed coordinates are the top ones: the free ones are 0 .. inner_n - 1
     fixed = {c: data.draw(st.integers(0, 1)) for c in range(inner_n, inner_n + fixed_count)}
     rng = random.Random(data.draw(st.integers(0, 10_000)))
-    inner = random_embedded_path(inner_n, data.draw(st.integers(1, 1 << inner_n)), rng)
+    inner = CubePath(inner_n, _bitmask_random_path(inner_n, data.draw(st.integers(1, 1 << inner_n)), rng))
     lifted = restrict_to_subcube(fixed, inner)
     assert lifted.verts == tuple(_lift_bit_by_bit(fixed, inner_n, v) for v in inner.verts)
 
@@ -267,65 +280,9 @@ def test_cycle_canonical_orientation():
             assert verts[1] < verts[-1]
 
 
-def test_random_embedded_path_and_cycle():
-    rng = random.Random(42)
-    path = random_embedded_path(5, 9, rng)
-    assert path.violation() is None and len(path.verts) == 9
-    cycle = random_embedded_cycle(5, 6, rng)
-    assert cycle.violation() is None and len(cycle.verts) == 6
-    # same seed, same draw
-    assert random_embedded_path(5, 9, random.Random(42)).verts == path.verts
-
-
 def test_path_violations_reported():
     assert CubePath(3, ()).violation() is not None
     assert CubePath(3, (0, 3)).violation() is not None
     assert CubePath(3, (0, 1, 0)).violation() is not None
     assert CubePath(2, (0, 4)).violation() is not None
     assert CubePath(3, (0, 1, 3)).violation() is None
-
-
-def _bitmask_random_path(n, k, rng):
-    """The sampler's draws with the used vertices kept as a 2^n-bit mask, as it once did."""
-    while True:
-        verts = [rng.randrange(1 << n)]
-        used = 1 << verts[0]
-        while len(verts) < k:
-            options = [w for w in (verts[-1] ^ (1 << i) for i in range(n)) if not used & (1 << w)]
-            if not options:
-                break
-            verts.append(rng.choice(options))
-            used |= 1 << verts[-1]
-        if len(verts) == k:
-            return tuple(verts)
-
-
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_random_path_draws_match_bitmask_sampler(n, seed, data):
-    k = data.draw(st.integers(1, min(1 << n, 12)))
-    got = random_embedded_path(n, k, random.Random(seed)).verts
-    assert got == _bitmask_random_path(n, k, random.Random(seed))
-
-
-def _closing_random_cycle(n, k, rng):
-    """The cycle sampler's draws as it once made them: single-attempt bitmask walks until one closes."""
-    while True:
-        verts = [rng.randrange(1 << n)]
-        used = 1 << verts[0]
-        while len(verts) < k:
-            options = [w for w in (verts[-1] ^ (1 << i) for i in range(n)) if not used & (1 << w)]
-            if not options:
-                break
-            verts.append(rng.choice(options))
-            used |= 1 << verts[-1]
-        if len(verts) == k and (verts[-1] ^ verts[0]).bit_count() == 1:
-            return tuple(verts)
-
-
-@settings(max_examples=40, deadline=None)
-@given(n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1), data=st.data())
-def test_random_cycle_draws_match_walk_closing_sampler(n, seed, data):
-    k = 2 * data.draw(st.integers(2, min(1 << (n - 1), 5)))
-    got = random_embedded_cycle(n, k, random.Random(seed)).verts
-    assert got == _closing_random_cycle(n, k, random.Random(seed))

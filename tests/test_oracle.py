@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypercut import cli, oracle
-from hypercut.analysis import is_disconnecting_mask, validate_cut
+from hypercut.analysis import is_disconnecting_mask, path_neighbor_bound, validate_cut
 from hypercut.core import Automorphism, adjacent, automorphism_vertex_tables
 from hypercut.cuts import StructureKind, admissible_shapes, build_path_cut
 from hypercut.embeddings import CubeCycle, CubePath, CubeStar
@@ -505,3 +505,35 @@ def test_each_cli_command_starts_from_an_empty_block_cache(monkeypatch, capsys):
         assert (info.misses, info.hits, info.currsize) == (3, 0, 3)  # P1, P2 and P3, each built here
     capsys.readouterr()
     assert seen == [0, 0]
+
+
+# (shape, k, d_max), where d_max is the most coordinates a copy crosses: k - 1 for P_k, k/2 for C_k
+_PATH_COUNTS = [("path", k, k - 1) for k in range(3, 11)]
+_CYCLE_COUNTS = [("cycle", k, k // 2) for k in range(4, 11, 2)]
+
+
+def test_neighbor_count_maxima_meet_the_path_bound_and_undershoot_the_cycle_bound():
+    assert [oracle.neighbor_count_maximum(d + 2, shape, k) for shape, k, d in _PATH_COUNTS] == [
+        path_neighbor_bound(k) for _, k, _ in _PATH_COUNTS]
+    assert [oracle.neighbor_count_maximum(d + 2, shape, k) for shape, k, d in _CYCLE_COUNTS] == [2, 4, 5, 6]
+
+
+def _full_dimension_maximum(n, shape, k):
+    """neighbor_count_maximum with every seed evaluated in all of Q_n, not in Q_(d+2)."""
+    best = None
+    for seed in oracle._seeds(n, shape, k):
+        inside = set(seed)
+        count = Counter(x ^ (1 << i) for x in seed for i in range(n))
+        for u in set(count) - inside:
+            for v in (u ^ (1 << i) for i in range(n)):
+                if v not in inside:
+                    best = max(best or 0, count[u] + (count[v] if v in count else 0))
+    return best
+
+
+# P9 and P10 are left out for time: their seeds in Q_(d_max+3) take about 0.4 and 1.8 s
+@pytest.mark.parametrize("shape,k,d", _PATH_COUNTS[:6] + _CYCLE_COUNTS,
+                         ids=[f"{s[0].upper()}{k}" for s, k, _ in _PATH_COUNTS[:6] + _CYCLE_COUNTS])
+def test_neighbor_count_maximum_stops_growing_at_d_max_plus_2(shape, k, d):
+    # a pair with a nonzero count leaves a seed's coordinates in at most two places
+    assert oracle.neighbor_count_maximum(d + 2, shape, k) == _full_dimension_maximum(d + 3, shape, k)

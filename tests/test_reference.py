@@ -8,6 +8,7 @@ in the orbit pruning or in the complement BFS cannot pass unseen on both sides.
 
 import json
 from collections import Counter
+from functools import lru_cache
 from itertools import combinations
 
 import networkx as nx
@@ -15,7 +16,7 @@ import pytest
 
 from hypercut.cli import main
 from hypercut.cuts import StructureKind
-from hypercut.oracle import min_structure_cut, pool_block
+from hypercut.oracle import min_structure_cut, neighbor_count_maximum, pool_block
 from test_cli import _oracle_pin_commands
 
 MAX_K = 8
@@ -34,8 +35,9 @@ def _canonical_cycle(verts):
     return min(tuple(r[i:] + r[:i]) for r in (list(verts), list(reversed(verts))) for i in range(len(verts)))
 
 
+@lru_cache(maxsize=None)
 def _reference_paths(n, kmax):
-    """{k: the set of paths on k vertices} for k <= kmax, one canonical tuple each."""
+    """{k: the set of paths on k vertices} for k <= kmax, one canonical tuple each; cached, so read only."""
     g = _cube(n)
     pools = {k: set() for k in range(1, kmax + 1)}
     for v in g:
@@ -45,8 +47,9 @@ def _reference_paths(n, kmax):
     return pools
 
 
+@lru_cache(maxsize=None)
 def _reference_cycles(n, kmax):
-    """{k: the set of k-cycles} for k <= kmax, one canonical tuple each."""
+    """{k: the set of k-cycles} for k <= kmax, one canonical tuple each; cached, so read only."""
     pools = {k: set() for k in range(4, kmax + 1, 2)}
     for c in nx.simple_cycles(_cube(n), length_bound=kmax):
         pools[len(c)].add(_canonical_cycle(c))
@@ -163,3 +166,22 @@ def test_every_pinned_oracle_witness_is_a_cut_by_the_reference(capsys):
         assert _reference_is_cut(g, removed), argv
         witnesses += 1
     assert witnesses > 0
+
+
+def _reference_neighbor_count_maximum(n, pool):
+    """The largest |N({u,v}) & V(H)| over H in the pool and edges uv of Q_n outside H; None if there is none."""
+    g = _cube(n)
+    around = [({u, v}, set(g[u]) | set(g[v])) for u, v in g.edges]
+    counts = [len(nbrs & h) for h in map(set, pool) for pair, nbrs in around if not pair & h]
+    return max(counts, default=None)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_neighbor_count_maximum_matches_the_reference(n):
+    paths, cycles = _reference_paths(n, MAX_K), _reference_cycles(n, MAX_K)
+    got = {(shape, k): neighbor_count_maximum(n, shape, k)
+           for shape, pools in (("path", paths), ("cycle", cycles)) for k in pools if k >= 3}
+    assert got == {(shape, k): _reference_neighbor_count_maximum(n, pool)
+                   for shape, pools in (("path", paths), ("cycle", cycles)) for k, pool in pools.items() if k >= 3}
+    if n == 3:  # a P7, a P8 or a C8 of Q3 leaves at most one vertex
+        assert [got["path", 7], got["path", 8], got["cycle", 8]] == [None, None, None]
