@@ -422,15 +422,39 @@ def _no_scan(*args):
     raise AssertionError("scanned before refusing")
 
 
-@pytest.mark.parametrize("argv", [("--trials", "10"), ("--seed", "1"), ("--n", "6")], ids=["trials", "seed", "n"])
-def test_property_test_refuses_the_sampling_flags(capsys, monkeypatch, argv):
-    # the suites sample nothing, so the parser refuses these flags
+def _refuses_unrecognized(capsys, monkeypatch, *argv):
     monkeypatch.setattr(cli.analysis, "scan_distance2_common_neighbors", _no_scan)
     monkeypatch.setattr(cli.oracle, "neighbor_count_maximum", _no_scan)
     code, out, err = run(capsys, "property-test", *argv)
     assert code == 2
     assert out == ""
     assert "unrecognized arguments" in err
+
+
+# the suites sample nothing, so the parser refuses --n, --trials and --seed at every value,
+# including the values the sampling limits once refused
+
+
+@pytest.mark.parametrize("suite", ["path-bound", "cycle-bound", "all"])
+def test_property_test_refuses_n_above_ceiling(capsys, monkeypatch, suite):
+    for n in ("25", "1000000000"):
+        _refuses_unrecognized(capsys, monkeypatch, "--suite", suite, "--n", n)
+
+
+@pytest.mark.parametrize("n", ["3", "2", "0"])
+def test_property_test_refuses_n_below_floor(capsys, monkeypatch, n):
+    for suite in ("common-neighbors", "path-bound", "cycle-bound", "all"):
+        _refuses_unrecognized(capsys, monkeypatch, "--suite", suite, "--n", n)
+
+
+@pytest.mark.parametrize("trials", ["0", "-5", "10001", "1000000000"])
+def test_property_test_refuses_trials_out_of_range(capsys, monkeypatch, trials):
+    for suite in ("path-bound", "cycle-bound", "all"):
+        _refuses_unrecognized(capsys, monkeypatch, "--suite", suite, "--trials", trials)
+
+
+def test_property_test_refuses_seed(capsys, monkeypatch):
+    _refuses_unrecognized(capsys, monkeypatch, "--seed", "1")
 
 
 @pytest.mark.parametrize("nmax", ["1", "-5", str(cli.MAX_SCAN_DIM + 1), "64"])
