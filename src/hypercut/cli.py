@@ -25,7 +25,7 @@ from . import analysis, cuts, formulas, oracle
 from .analysis import components_after_removal, validate_cut
 from .core import Cube, vertex_to_string
 from .cuts import CutElement, CutFamily, StructureKind, build_cycle_cut, build_path_cut
-from .oracle import MAX_SEARCH_DIM, BudgetError, SearchBudget, default_family_size, min_structure_cut
+from .oracle import MAX_SEARCH_DIM, BudgetError, SearchBudget, min_structure_cut
 
 SCHEMA = "hypercut/v1"
 
@@ -239,7 +239,7 @@ def _verify_cycles(nmax: int) -> list[dict]:
 
 
 def _verify_power_of_two(nmax: int) -> list[dict]:
-    budget = SearchBudget(max_family_size=3, max_dimension=MAX_SEARCH_DIM)
+    budget = SearchBudget(max_dimension=MAX_SEARCH_DIM)
     rows = [_oracle_value_row("power-of-two", n, StructureKind("cycle", 1 << m), "structure",
                               formulas.kappa_power_of_two_cycle(n, m).value, budget) | {"m": m}
             for n, m in ((4, 2), (5, 2), (5, 3))]
@@ -315,10 +315,9 @@ def _parse_kind(kind_name: str, k: int | None) -> StructureKind:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     kind = _parse_kind(args.kind, args.k)
-    max_size = args.max_size if args.max_size is not None else default_family_size(args.n)
-    budget = SearchBudget(max_family_size=max_size, max_dimension=MAX_SEARCH_DIM)
+    budget = SearchBudget(max_family_size=args.max_size, max_dimension=MAX_SEARCH_DIM)
     result = min_structure_cut(args.n, kind, args.mode, budget)
-    parameters = {"n": args.n, "kind": kind.label(), "mode": args.mode, "max_size": max_size}
+    parameters = {"n": args.n, "kind": kind.label(), "mode": args.mode, "max_size": args.max_size}
     witness = _family_payload(result.witness) if result.witness else None
     _emit_json("oracle", parameters, args.out, value=result.value, status=result.status,
                exhaustive=result.exhaustive, witness=witness, orbit_statistics=dict(result.stats))
@@ -403,7 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=["path", "cycle", "star", "vertex", "edge"], required=True)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--mode", choices=["structure", "substructure"], default="structure")
-    p.add_argument("--max-size", type=int, default=None, dest="max_size")
+    p.add_argument("--max-size", type=int, default=SearchBudget.max_family_size, dest="max_size")
     p.add_argument("--out")
     p.set_defaults(handler=cmd_oracle)
 

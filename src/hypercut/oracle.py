@@ -3,11 +3,13 @@
 The copies of the structure (or of its connected subgraphs) come in
 (shape, size) blocks, and orderly walks at vertex 0 give each block's
 seeds: every copy is an automorphic image of a seed.  An automorphism
-keeps "is a cut", so level 1 (one element alone) is answered from the
-seeds, with no copy built.  Only when no single element is a cut does the
-oracle build the pool, one pass of the automorphism group per orbit, and
-search families of size 2, 3, ... until one disconnects or trivializes
-the cube.  The first element of a family is restricted to one
+keeps "is a cut", so level 1 (one element alone) is answered by streaming
+the seeds, with no copy built.  Only when no single element is a cut does
+the oracle build the pool, one pass of the automorphism group per orbit,
+and search families of size 2, 3, ... until one disconnects or trivializes
+the cube.  Each stage has one budget rule: the dimension limit bounds
+level 1, the copy ceiling the pool, and the combination ceiling each
+sweep.  The first element of a family is restricted to one
 representative per automorphism orbit, which is sound: any cut can be
 carried by an automorphism onto one whose minimum-orbit element is that
 orbit's representative, and orbit indices are preserved, so the
@@ -25,11 +27,11 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations, repeat
 from operator import attrgetter
-from typing import Mapping
+from typing import Iterator, Mapping
 
 from .analysis import is_disconnecting_mask, neighborhood_vertex_mask
 from .core import automorphism_vertex_tables
-from .cuts import CutElement, CutFamily, StructureKind, STRUCTURE, admissible_shapes
+from .cuts import CutElement, CutFamily, StructureKind, STRUCTURE, admissible_shapes, at_most_power_of_two
 from .embeddings import CubeCycle, CubePath, CubeStar, canonical_cycle_orientation
 from .formulas import EXACT, LOWER_BOUND
 
@@ -42,8 +44,10 @@ class BudgetError(RuntimeError):
 class SearchBudget:
     """Limits keeping the exhaustive search at desk scale.
 
-    A search refuses any n above max_dimension, and every n >= 6; at n = 5
-    only a few pool blocks and family sizes are sanctioned (_check_budget).
+    A search refuses any n above max_dimension, and every n above
+    MAX_SEARCH_DIM.  Families of up to max_family_size elements are searched,
+    the same at every n; families of 2 or more only from a pool of at most
+    _COPY_CEILING copies, and each size under _COMBINATION_CEILING tests.
     """
 
     max_family_size: int = 4
@@ -92,34 +96,36 @@ def _canon(shape: str, verts: tuple[int, ...]) -> tuple[int, ...]:
     return verts[::-1] if verts[0] > verts[-1] else verts
 
 
-def _seeds(n: int, shape: str, size: int) -> list[tuple[int, ...]]:
+def _seeds(n: int, shape: str, size: int) -> Iterator[tuple[int, ...]]:
     """The orderly walks of one block at vertex 0, in DFS order; for stars, the one star there.
 
     Each step reuses a coordinate the walk has crossed or crosses the
     smallest one it has not, so every copy is an automorphic image of a
     seed.  A cycle seed ends next to 0 and never strays too far to get back.
+    The walks are generated as the DFS reaches them, so a caller that stops
+    early never pays for the rest of the block.
     """
     if shape == "star":
-        return [(0,) + tuple(1 << i for i in range(size))] if size <= n else []
+        if size <= n:
+            yield (0,) + tuple(1 << i for i in range(size))
+        return
     if size > 1 << n:
-        return []
+        return
     closed = shape == "cycle"
-    out: list[tuple[int, ...]] = []
 
-    def dfs(seq: list[int], used: int, coords: int) -> None:
+    def dfs(seq: list[int], used: int, coords: int) -> Iterator[tuple[int, ...]]:
         if len(seq) == size:
             if not closed or seq[-1].bit_count() == 1:
-                out.append(tuple(seq))
+                yield tuple(seq)
             return
         for i in range(min(coords + 1, n)):  # a crossed coordinate, or the smallest new one
             w = seq[-1] ^ (1 << i)
             if not used >> w & 1 and (not closed or w.bit_count() <= size - len(seq)):
                 seq.append(w)
-                dfs(seq, used | (1 << w), max(coords, i + 1))
+                yield from dfs(seq, used | (1 << w), max(coords, i + 1))
                 seq.pop()
 
-    dfs([0], 1, 0)
-    return out
+    yield from dfs([0], 1, 0)
 
 
 def neighbor_count_maximum(n: int, shape: str, k: int) -> int | None:
@@ -163,36 +169,8 @@ def _block_size(n: int, shape: str, size: int) -> int:
     star.
     """
     labelled = sum(math.perm(n, max(seed).bit_length()) for seed in _seeds(n, shape, size))
-    labellings = {"path": 2 if size > 1 else 1, "cycle": 2 * size, "star": math.factorial(size)}[shape]
+    labellings = math.factorial(size) if shape == "star" else 2 * size if shape == "cycle" else min(size, 2)
     return (labelled << n) // labellings
-
-
-def _orderly(walk: tuple[int, ...]) -> tuple[int, ...]:
-    """The walk translated to start at 0, its coordinates renumbered in order of first crossing."""
-    renamed: dict[int, int] = {}
-    out = [0]
-    for a, b in zip(walk, walk[1:]):
-        out.append(out[-1] ^ renamed.setdefault(a ^ b, 1 << len(renamed)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def _block_orbits(n: int, shape: str, size: int) -> int:
-    """The number of orbits of pool_block(n, shape, size), counted from its seeds alone.
-
-    The seeds of one orbit are the orderly relabellings of the labellings
-    of any of its copies, so a seed opens an orbit exactly when it is the
-    least orderly relabelling of its own labellings: 2 as a path, 2 * size
-    as a cycle.  A star block is one orbit.
-    """
-    seeds = _seeds(n, shape, size)
-    if shape == "star":
-        return len(seeds)
-    if shape == "path":
-        return sum(seed <= _orderly(seed[::-1]) for seed in seeds)
-    return sum(all(seed <= _orderly(walk) for i in range(size)
-                   for walk in (seed[i:] + seed[:i], seed[i::-1] + seed[:i:-1]))
-               for seed in seeds)
 
 
 def enumerate_copies(n: int, kind: StructureKind, mode: str = STRUCTURE) -> list[CutElement]:
@@ -260,36 +238,9 @@ def _pool(n: int, kind: StructureKind, mode: str) -> tuple[list[CutElement], lis
     return els, masks, [number[o] for o in tagged], list(first.values())
 
 
-def default_family_size(n: int) -> int:
-    """The family-size budget at dimension n: the largest sanctioned at n = 5, else the default."""
-    return 3 if n == 5 else SearchBudget.max_family_size
-
-
-# The pool blocks a dimension 5 search may build; Q5 C8, 6,720 copies, is the largest.
-# C8 substructure would add P5..P8, a pool of 333,872 copies: 4.8 s and 159 MB.
-_SANCTIONED_AT_5 = frozenset([("path", 1), ("path", 2), ("path", 3), ("path", 4), ("cycle", 4), ("cycle", 8)])
 # The most copies a search may build, counted before any block is: just above Q5 P8's 237,120.
 # Q4 P16 substructure holds 725,424 copies, which took 15.7 s and 352 MB to build.
 _COPY_CEILING = 250_000
-
-
-def _check_budget(n: int, kind: StructureKind, mode: str, budget: SearchBudget) -> int:
-    """The number of copies in the (kind, mode) pool, or BudgetError if the search is refused."""
-    limit = min(budget.max_dimension, MAX_SEARCH_DIM)
-    if n > limit:
-        raise BudgetError(f"dimension {n} above the search limit {limit}")
-    if n == 5:
-        for shape, size in admissible_shapes(kind, mode):
-            if (shape, size) not in _SANCTIONED_AT_5:
-                raise BudgetError(f"dimension 5 searches are limited to the blocks path(1..4), cycle(4) and"
-                                  f" cycle(8), but {mode} {kind.label()} needs {shape}({size})")
-        if budget.max_family_size > default_family_size(5):
-            raise BudgetError(f"dimension 5 searches are limited to family sizes up to {default_family_size(5)}")
-    copies = sum(_block_size(n, shape, size) for shape, size in admissible_shapes(kind, mode))
-    if copies > _COPY_CEILING:
-        raise BudgetError(f"the {mode} {kind.label()} pool of Q_{n} holds {copies} copies,"
-                          f" over the {_COPY_CEILING} ceiling")
-    return copies
 
 
 def _cut_test(n: int, mask: int, memo: dict[int, bool], stats: dict[str, int]) -> bool:
@@ -414,28 +365,38 @@ def min_structure_cut(
 ) -> OracleResult:
     """Minimum family size whose removal disconnects or trivializes Q_n.
 
-    Level 1 is answered from the seeds of each block (_single_cut).  Only
-    if no single element is a cut, and the budget allows families of 2 or
-    more, is the pool built, for the seeded and exhaustive passes at
-    s = 2, 3, ...  Exact results carry a witness, and running past the size
-    budget yields a lower bound, never a wrong exact value.
+    The dimension is checked first, then whether H itself embeds in Q_n at
+    all (a path or cycle on at most 2^n vertices, a star with at most n
+    leaves), both by arithmetic alone.  Level 1 streams the seeds of each
+    block and stops at the first cut (_single_cut); at n <= MAX_SEARCH_DIM
+    its domain is finite and small.  Only if no single element is a cut,
+    and the budget allows families of 2 or more, is the pool counted
+    against _COPY_CEILING, then built, for the seeded and exhaustive passes
+    at s = 2, 3, ...  The stats' copies and orbits count the pool built,
+    so they are 0 when none is.  Exact results carry a witness, and running
+    past the size budget yields a lower bound, never a wrong exact value.
     """
     budget = budget or SearchBudget()
-    copies = _check_budget(n, kind, mode, budget)
-    if not copies:
+    if n < 1:
+        raise ValueError(f"dimension must be >= 1, got {n}")
+    limit = min(budget.max_dimension, MAX_SEARCH_DIM)
+    if n > limit:
+        raise BudgetError(f"dimension {n} above the search limit {limit}")
+    fits = kind.size <= n if kind.name == "star" else at_most_power_of_two(kind.size, n)
+    if not fits:
         raise ValueError(f"no embedded copies of {kind.label()} exist in Q_{n}")
     shapes = admissible_shapes(kind, mode)
-    stats = {
-        "copies": copies,
-        "orbits": sum(_block_orbits(n, shape, size) for shape, size in shapes),
-        "cut_tests": 0,
-        "memo_hits": 0,
-    }
+    stats = {"copies": 0, "orbits": 0, "cut_tests": 0, "memo_hits": 0}
     single = _single_cut(n, shapes, stats)
     if single is not None:
         return OracleResult(1, EXACT, CutFamily(n, kind, mode, (single,)), stats=stats)
     if budget.max_family_size >= 2:
+        copies = sum(_block_size(n, shape, size) for shape, size in shapes)
+        if copies > _COPY_CEILING:
+            raise BudgetError(f"the {mode} {kind.label()} pool of Q_{n} holds {copies} copies,"
+                              f" over the {_COPY_CEILING} ceiling")
         pool, masks, orbit_of, reps = _pool(n, kind, mode)
+        stats["copies"], stats["orbits"] = len(pool), len(reps)
         candidates = _seed_candidates(n, masks)
         for s in range(2, budget.max_family_size + 1):
             hit = _level_search(n, masks, orbit_of, reps, candidates, s, stats)

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -207,10 +208,11 @@ def _oracle_pin_commands():
 
 
 # every kind and mode at n = 3, 4 with the default family-size budget, and two
-# n = 5 searches; re-recorded when level 1 came to be answered from the seeds of
-# each block, which changed the witnesses of the answers of 1 and the cut_tests and
-# memo_hits counters, but no value, status, copies or orbits
-_ORACLE_SHA256 = "6980a1d58e7e641c9243dcd35df8f3761b9aab31bd3bee9d65f0b8a80a140f70"
+# n = 5 searches; re-recorded when copies and orbits came to count the pool a
+# search builds (0 for the six answers of 1, Q4 P7, P8 and C8 in both modes) and
+# the default family size became 4 at n = 5 too (max_size of Q5 P4), with no value,
+# status, witness, cut_tests or memo_hits changed
+_ORACLE_SHA256 = "a1db86d36268494d84e5e6d1483fd68f2e4a4f7c9b46b4db521ae0c3bc4bc457"
 
 
 def test_oracle_stdout_is_byte_stable(capsys):
@@ -223,41 +225,67 @@ def test_oracle_stdout_is_byte_stable(capsys):
     assert hashlib.sha256("".join(outs).encode()).hexdigest() == _ORACLE_SHA256
 
 
-def test_oracle_refuses_c8_substructure_at_n_5_before_building(capsys, monkeypatch):
-    def pool_block(*args):
-        raise AssertionError("a pool block was built before the search was refused")
+def _refusing(message):
+    def refuse(*args):
+        raise AssertionError(message)
 
-    pool_block.cache_clear = lambda: None  # main clears the block cache as it starts
-    monkeypatch.setattr(cli.oracle, "pool_block", pool_block)
+    refuse.cache_clear = lambda: None  # main clears the block cache as it starts
+    return refuse
+
+
+def test_oracle_refuses_c8_substructure_at_n_5_before_building(capsys, monkeypatch):
+    monkeypatch.setattr(cli.oracle, "pool_block", _refusing("a pool block was built before the search was refused"))
     code, out, err = run(capsys, "oracle", "--n", "5", "--kind", "cycle", "--k", "8", "--mode", "substructure")
     assert code == 3
     assert out == ""
-    assert "substructure C8 needs path(5)" in err
+    assert "substructure C8 pool of Q_5 holds 333872 copies, over the 250000 ceiling" in err
 
 
 def test_oracle_refuses_pools_over_the_copy_ceiling_before_building(capsys, monkeypatch):
-    def pool_block(*args):
-        raise AssertionError("a pool block was built before the search was refused")
-
-    pool_block.cache_clear = lambda: None  # main clears the block cache as it starts
-    monkeypatch.setattr(cli.oracle, "pool_block", pool_block)
-    code, out, err = run(capsys, "oracle", "--n", "4", "--kind", "path", "--k", "16", "--mode", "substructure")
+    monkeypatch.setattr(cli.oracle, "pool_block", _refusing("a pool block was built before the search was refused"))
+    code, out, err = run(capsys, "oracle", "--n", "5", "--kind", "path", "--k", "8", "--mode", "substructure")
     assert code == 3
     assert out == ""
-    assert "substructure P16 pool of Q_4 holds 725424 copies, over the 250000 ceiling" in err
+    assert "substructure P8 pool of Q_5 holds 327152 copies, over the 250000 ceiling" in err
 
 
-@pytest.mark.parametrize("argv", [("--k", "8"), ("--k", "11", "--mode", "substructure")])
+@pytest.mark.parametrize("argv", [("--k", "1000000000"), ("--k", "1000000000", "--mode", "substructure"),
+                                  ("--k", "17", "--mode", "substructure")],
+                         ids=["P1e9-structure", "P1e9-substructure", "P17-substructure"])
+def test_oracle_refuses_paths_longer_than_the_cube_before_any_seed(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli.oracle, "_seeds", _refusing("a seed was walked before the search was refused"))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "--n", "4", "--kind", "path", *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert out == ""
+    assert f"no embedded copies of P{argv[1]} exist in Q_4" in err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_oracle_refuses_dimensions_below_1(capsys, monkeypatch, n):
+    monkeypatch.setattr(cli.oracle, "_seeds", _refusing("a seed was walked before the search was refused"))
+    code, out, err = run(capsys, "oracle", "--n", n, "--kind", "path", "--k", "3")
+    assert code == 2
+    assert out == ""
+    assert f"dimension must be >= 1, got {n}" in err
+
+
+# Q4 P8 and P11 substructure, then Q5 P16 and C16, each in under a second at the default family size
+@pytest.mark.parametrize("argv", [("--n", "4", "--kind", "path", "--k", "8"),
+                                  ("--n", "4", "--kind", "path", "--k", "11", "--mode", "substructure"),
+                                  ("--n", "5", "--kind", "path", "--k", "16"),
+                                  ("--n", "5", "--kind", "cycle", "--k", "16")])
 def test_oracle_answers_1_from_the_seeds_without_building_a_block(capsys, monkeypatch, argv):
-    def pool_block(*args):
-        raise AssertionError("a pool block was built for an answer of 1")
-
-    pool_block.cache_clear = lambda: None  # main clears the block cache as it starts
-    monkeypatch.setattr(cli.oracle, "pool_block", pool_block)
-    code, out, _ = run(capsys, "oracle", "--n", "4", "--kind", "path", *argv)
+    monkeypatch.setattr(cli.oracle, "pool_block", _refusing("a pool block was built for an answer of 1"))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "oracle", *argv)
+    assert time.perf_counter() - start < 1.0
     assert code == 0
     payload = json.loads(out)
     assert (payload["value"], payload["status"], len(payload["witness"]["elements"])) == (1, "exact", 1)
+    assert payload["parameters"]["max_size"] == 4
+    assert (payload["orbit_statistics"]["copies"], payload["orbit_statistics"]["orbits"]) == (0, 0)
 
 
 @pytest.mark.parametrize("mode", ["structure", "substructure"])

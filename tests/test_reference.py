@@ -16,7 +16,7 @@ import pytest
 
 from hypercut.cli import main
 from hypercut.cuts import StructureKind
-from hypercut.oracle import min_structure_cut, neighbor_count_maximum, pool_block
+from hypercut.oracle import SearchBudget, min_structure_cut, neighbor_count_maximum, pool_block
 from test_cli import _oracle_pin_commands
 
 MAX_K = 8
@@ -166,6 +166,37 @@ def test_every_pinned_oracle_witness_is_a_cut_by_the_reference(capsys):
         assert _reference_is_cut(g, removed), argv
         witnesses += 1
     assert witnesses > 0
+
+
+def _reference_element_is_admissible(g, element, shapes):
+    """True iff the element is a path, cycle or star of g with a (shape, size) in shapes."""
+    verts = list(element.verts)
+    if element.shape == "star":
+        center = verts[0]
+        return ("star", len(verts) - 1) in shapes and all(g.has_edge(center, v) for v in verts[1:])
+    if element.shape == "cycle" and not g.has_edge(verts[-1], verts[0]):
+        return False
+    return (element.shape, len(verts)) in shapes and len(set(verts)) == len(verts) and nx.is_path(g, verts)
+
+
+def test_every_dimension_5_level_1_witness_is_a_cut_by_the_reference():
+    g = _cube(5)
+    witnesses = 0
+    for mode in ("structure", "substructure"):
+        kinds = [("path", k) for k in range(2, 33)] + [("cycle", k) for k in range(4, 33, 2)]
+        for kind, k in kinds + [("star", r) for r in range(2, 6)]:
+            result = min_structure_cut(5, StructureKind(kind, k), mode, SearchBudget(1, 5))  # level 1 alone: no pool is built
+            if result.status != "exact":
+                continue
+            (element,) = result.witness.elements
+            shapes = {(kind, k)}
+            if mode == "substructure":  # the connected subgraphs of H, as in _reference_pool
+                shapes |= ({("path", 1), ("path", 2)} | {("star", j) for j in range(2, k)} if kind == "star"
+                           else {("path", j) for j in range(1, k + 1)})
+            assert _reference_element_is_admissible(g, element, shapes), (kind, k, mode)
+            assert _reference_is_cut(g, set(element.verts)), (kind, k, mode)
+            witnesses += 1
+    assert witnesses == 2 * (24 + 12)  # P9..P32 and C10..C32 in both modes
 
 
 def _reference_neighbor_count_maximum(n, pool):
