@@ -6,9 +6,10 @@ single minimum-cut search), export-dot (draw the cube with removals and
 component coloring), property-test (exhaustive checks of the neighbour-count
 bounds and of the common-neighbour count).
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or range error,
-3 budget exhausted where exactness was demanded.  Machine-readable output
-is byte-stable for deterministic commands; timing goes to stderr only.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or range error
+(or an --out that cannot be written), 3 budget exhausted where exactness
+was demanded.  Machine-readable output is byte-stable for deterministic
+commands; timing goes to stderr only.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import analysis, cuts, formulas, oracle
 from .analysis import components_after_removal, validate_cut
 from .core import Cube, vertex_to_string
 from .cuts import CutElement, CutFamily, StructureKind, build_cycle_cut, build_path_cut
-from .oracle import MAX_SEARCH_DIM, BudgetError, SearchBudget, min_structure_cut
+from .oracle import BudgetError, SearchBudget, min_structure_cut
 
 SCHEMA = "hypercut/v1"
 
@@ -239,9 +240,8 @@ def _verify_cycles(nmax: int) -> list[dict]:
 
 
 def _verify_power_of_two(nmax: int) -> list[dict]:
-    budget = SearchBudget(max_dimension=MAX_SEARCH_DIM)
     rows = [_oracle_value_row("power-of-two", n, StructureKind("cycle", 1 << m), "structure",
-                              formulas.kappa_power_of_two_cycle(n, m).value, budget) | {"m": m}
+                              formulas.kappa_power_of_two_cycle(n, m).value, SearchBudget()) | {"m": m}
             for n, m in ((4, 2), (5, 2), (5, 3))]
     # kappa_power_of_two_cycle itself raises where the general cycle value disagrees
     for n in range(4, nmax + 1):
@@ -292,6 +292,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--nmax must be at least 3, got {args.nmax}")
     if args.nmax is not None and args.nmax > MAX_VERIFY_NMAX:
         raise ValueError(f"--nmax must be at most {MAX_VERIFY_NMAX}, got {args.nmax}")
+    if args.nmax is not None and args.nmax < formulas.BUDENGS_MIN_N and "budengs" in scopes:
+        raise ValueError(f"--nmax must be at least {formulas.BUDENGS_MIN_N} for the budengs scope, got {args.nmax}")
     rows = []
     for scope in scopes:
         build_rows, default_nmax = _SCOPES[scope]
@@ -315,8 +317,7 @@ def _parse_kind(kind_name: str, k: int | None) -> StructureKind:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     kind = _parse_kind(args.kind, args.k)
-    budget = SearchBudget(max_family_size=args.max_size, max_dimension=MAX_SEARCH_DIM)
-    result = min_structure_cut(args.n, kind, args.mode, budget)
+    result = min_structure_cut(args.n, kind, args.mode, SearchBudget(max_family_size=args.max_size))
     parameters = {"n": args.n, "kind": kind.label(), "mode": args.mode, "max_size": args.max_size}
     witness = _family_payload(result.witness) if result.witness else None
     _emit_json("oracle", parameters, args.out, value=result.value, status=result.status,
@@ -438,7 +439,7 @@ def main(argv: list[str] | None = None) -> int:
     except BudgetError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (formulas.NotCoveredError, ValueError) as exc:
+    except (formulas.NotCoveredError, ValueError, OSError) as exc:  # OSError: an --out that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"[hypercut] {args.command} finished in {time.perf_counter() - start:.2f}s",

@@ -157,16 +157,20 @@ def kappa_g_extra_formula(n: int, g: int) -> int:
     return n * (n - 1) // 2
 
 
+# The smallest n of the Budeng sweep: below it the inequality fails (n = 5, m = 3 gives 2 >= 2).
+BUDENGS_MIN_N = 6
+
+
 def verify_budengs_inequality(n_max: int) -> list[tuple[int, int]]:
-    """Sweep ceil(n / 2^(m-1)) < n - m over 6 <= n <= n_max, 3 <= m <= n - 2.
+    """Sweep ceil(n / 2^(m-1)) < n - m over BUDENGS_MIN_N <= n <= n_max, 3 <= m <= n - 2.
 
     Returns the violating (n, m) pairs; the inequality holds, so the list
     is expected to be empty.
     """
-    if n_max < 6:
-        raise ValueError(f"sweep needs n_max >= 6, got {n_max}")
+    if n_max < BUDENGS_MIN_N:
+        raise ValueError(f"sweep needs n_max >= {BUDENGS_MIN_N}, got {n_max}")
     violations = []
-    for n in range(6, n_max + 1):
+    for n in range(BUDENGS_MIN_N, n_max + 1):
         for m in range(3, n - 1):
             if _ceil_div(n, 1 << (m - 1)) >= n - m:
                 violations.append((n, m))

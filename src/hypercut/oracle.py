@@ -9,11 +9,11 @@ the oracle build the pool, one pass of the automorphism group per orbit,
 and search families of size 2, 3, ... until one disconnects or trivializes
 the cube.  Each stage has one budget rule: the dimension limit bounds
 level 1, the copy ceiling the pool, and the combination ceiling each
-sweep.  The first element of a family is restricted to one
-representative per automorphism orbit, which is sound: any cut can be
-carried by an automorphism onto one whose minimum-orbit element is that
-orbit's representative, and orbit indices are preserved, so the
-remaining elements only need to range over orbits at least as large.
+sweep.  The pool holds each orbit as one run, in seed order, and
+the first element of a family is restricted to the first copy of a run,
+which is sound: any cut can be carried by an automorphism onto one whose
+earliest-orbit element is that orbit's first copy, and every orbit is
+kept, so the remaining elements only need to range over later copies.
 Before each exhaustive pass, a cheap seeded pass hunts for cuts that
 isolate a fixed vertex or edge, since every known minimum cut here does
 exactly that.
@@ -25,8 +25,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, repeat
-from operator import attrgetter
+from itertools import combinations
 from typing import Iterator, Mapping
 
 from .analysis import is_disconnecting_mask, neighborhood_vertex_mask
@@ -40,26 +39,30 @@ class BudgetError(RuntimeError):
     """The requested search cannot be answered soundly within the budget."""
 
 
+# The largest dimension any search accepts: exhaustive search is out of reach from n = 6.
+MAX_SEARCH_DIM = 5
+
+
 @dataclass(frozen=True)
 class SearchBudget:
     """Limits keeping the exhaustive search at desk scale.
 
-    A search refuses any n above max_dimension, and every n above
+    A search refuses any n above max_dimension, which is at most
     MAX_SEARCH_DIM.  Families of up to max_family_size elements are searched,
     the same at every n; families of 2 or more only from a pool of at most
     _COPY_CEILING copies, and each size under _COMBINATION_CEILING tests.
     """
 
     max_family_size: int = 4
-    max_dimension: int = 4
+    max_dimension: int = MAX_SEARCH_DIM
 
     def __post_init__(self) -> None:
         if self.max_family_size < 1:
             raise ValueError("max_family_size must be >= 1")
+        if self.max_dimension > MAX_SEARCH_DIM:
+            raise ValueError(f"max_dimension must be <= {MAX_SEARCH_DIM}, got {self.max_dimension}")
 
 _COMBINATION_CEILING = 20_000_000
-# The largest dimension any search accepts: exhaustive search is out of reach from n = 6.
-MAX_SEARCH_DIM = 5
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,6 @@ class OracleResult:
         return self.status == EXACT
 
 
-_SHAPE_ORDER = {"path": 0, "cycle": 1, "star": 2}
 # The element a canonical vertex tuple stands for, by shape.
 _ELEMENT = {"path": CubePath, "cycle": CubeCycle, "star": lambda n, verts: CubeStar(n, verts[0], verts[1:])}
 
@@ -176,66 +178,53 @@ def _block_size(n: int, shape: str, size: int) -> int:
 def enumerate_copies(n: int, kind: StructureKind, mode: str = STRUCTURE) -> list[CutElement]:
     """Every embedded element admissible for (kind, mode), deduplicated canonically.
 
-    The pool is sorted by shape (paths, cycles, stars), then by vertex tuple.
+    The copies come block by block in admissible_shapes order, and within
+    a block orbit by orbit, in seed order, not sorted.
     """
     return _pool(n, kind, mode)[0]
 
 
 @lru_cache(maxsize=None)
 def pool_block(n: int, shape: str, size: int) -> tuple[tuple[CutElement, ...], tuple[int, ...], tuple[int, ...]]:
-    """Every element of one (shape, size), sorted by vertex tuple: (elements, masks, orbit_of).
+    """Every element of one (shape, size), orbit by orbit: (elements, masks, starts).
 
-    The block is grown from its seeds: each seed not yet seen is an orbit
-    of its own, and one pass of the automorphism group carries it onto
-    every copy in that orbit.  Orbits are numbered by first appearance in
-    the sorted block.  An automorphism keeps an element's shape and size,
-    so the orbits of a pool never cross its blocks.  The cache lives for
-    one command: cli.main clears it as it starts.
+    The block is grown from its seeds: each seed not yet seen opens a run,
+    and one pass of the automorphism group carries it onto every copy in
+    its orbit.  The copies keep the order the passes insert them, so each
+    orbit is one contiguous run, and starts holds where each run begins.
+    An automorphism keeps an element's shape and size, so the orbits of a
+    pool never cross its blocks.  The cache lives for one command: cli.main
+    clears it as it starts.
     """
     tables = automorphism_vertex_tables(n)
-    orbit: dict[tuple[int, ...], int] = {}  # canonical vertex tuple -> index of the seed expanded onto it
-    for i, seed in enumerate(_seeds(n, shape, size)):
-        if _canon(shape, seed) not in orbit:
+    keys: dict[tuple[int, ...], None] = {}  # canonical vertex tuples, in insertion order
+    starts = []
+    for seed in _seeds(n, shape, size):
+        if _canon(shape, seed) not in keys:
+            starts.append(len(keys))
             for table in tables:
-                orbit.setdefault(_canon(shape, tuple(map(table.__getitem__, seed))), i)
-    keys = sorted(orbit)
+                keys.setdefault(_canon(shape, tuple(map(table.__getitem__, seed))))
     if len(keys) != _block_size(n, shape, size):
         raise AssertionError(f"{shape}({size}) of Q_{n} grew {len(keys)} copies, not {_block_size(n, shape, size)}")
-    number: dict[int, int] = {}
-    orbit_of = tuple(number.setdefault(orbit[key], len(number)) for key in keys)
     make = _ELEMENT[shape]
-    return tuple(make(n, key) for key in keys), tuple(sum(1 << v for v in key) for key in keys), orbit_of
+    return tuple(make(n, key) for key in keys), tuple(sum(1 << v for v in key) for key in keys), tuple(starts)
 
 
-def _pool(n: int, kind: StructureKind, mode: str) -> tuple[list[CutElement], list[int], list[int], list[int]]:
-    """The (kind, mode) pool from its blocks: (elements, masks, orbit_of, reps).
+def _pool(n: int, kind: StructureKind, mode: str) -> tuple[list[CutElement], list[int], list[int]]:
+    """The (kind, mode) pool, its blocks joined in admissible_shapes order: (elements, masks, reps).
 
-    The sorted blocks are merged by (shape rank, vertex tuple), a key no
-    two copies share, and orbits numbered by first appearance, which is
-    what partitioning the whole pool would give.
+    reps are the run starts of every block, shifted past the earlier
+    blocks: each is the first copy of its orbit.
     """
-    shapes = admissible_shapes(kind, mode)
     els: list[CutElement] = []
     masks: list[int] = []
-    tagged: list[int] = []  # block-local orbits shifted past the orbits of earlier blocks
-    keys: list[tuple[int, tuple[int, ...]]] = []
-    shift = 0
-    for shape, size in shapes:
-        block_els, block_masks, block_orbits = pool_block(n, shape, size)
+    reps: list[int] = []
+    for shape, size in admissible_shapes(kind, mode):
+        block_els, block_masks, starts = pool_block(n, shape, size)
+        reps += [len(els) + r for r in starts]
         els += block_els
         masks += block_masks
-        tagged += [o + shift for o in block_orbits]
-        keys += zip(repeat(_SHAPE_ORDER[shape]), map(attrgetter("verts"), block_els))
-        shift += max(block_orbits, default=-1) + 1
-    if len(shapes) > 1:
-        # each block is a sorted run of keys, which timsort finds and merges with no Python call per copy
-        order = sorted(range(len(keys)), key=keys.__getitem__)
-        els, masks, tagged = [els[i] for i in order], [masks[i] for i in order], [tagged[i] for i in order]
-    first: dict[int, int] = {}  # each orbit's first pool index, in order of first appearance
-    for i, o in enumerate(tagged):
-        first.setdefault(o, i)
-    number = {o: j for j, o in enumerate(first)}
-    return els, masks, [number[o] for o in tagged], list(first.values())
+    return els, masks, reps
 
 
 # The most copies a search may build, counted before any block is: just above Q5 P8's 237,120.
@@ -322,38 +311,29 @@ def _seed_level(
 
 
 def _level_search(
-    n: int,
-    masks: list[int],
-    orbit_of: list[int],
-    reps: list[int],
-    candidates: _Candidates,
-    s: int,
-    stats: dict[str, int],
+    n: int, masks: list[int], reps: list[int], candidates: _Candidates, s: int, stats: dict[str, int]
 ) -> tuple[int, ...] | None:
-    """Search all families of size s; None only after an exhaustive sweep."""
+    """Search all families of size s; None only after an exhaustive sweep.
+
+    Each family starts at a run start r and takes the rest from the copies after r.
+    """
     memo: dict[int, bool] = {}
     hit = _seed_level(n, masks, candidates, s, memo, stats)
     if hit:
         return hit
-    orbit_sizes = Counter(orbit_of)
-    below = total = 0
-    for orbit in sorted(orbit_sizes):
-        total += math.comb(len(masks) - below - 1, s - 1)
-        below += orbit_sizes[orbit]
+    total = sum(math.comb(len(masks) - r - 1, s - 1) for r in reps)
     if total > _COMBINATION_CEILING:
         raise BudgetError(
             f"size-{s} sweep needs about {total} family tests, over the {_COMBINATION_CEILING} ceiling"
         )
     for r in reps:
-        o = orbit_of[r]
-        cands = [j for j in range(len(masks)) if j != r and orbit_of[j] >= o]
         base = masks[r]
-        for comb in combinations(cands, s - 1):
+        for comb in combinations(range(r + 1, len(masks)), s - 1):
             union = base
             for j in comb:
                 union |= masks[j]
             if _cut_test(n, union, memo, stats):
-                return tuple(sorted((r,) + comb))
+                return (r,) + comb
     return None
 
 
@@ -379,9 +359,8 @@ def min_structure_cut(
     budget = budget or SearchBudget()
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    limit = min(budget.max_dimension, MAX_SEARCH_DIM)
-    if n > limit:
-        raise BudgetError(f"dimension {n} above the search limit {limit}")
+    if n > budget.max_dimension:
+        raise BudgetError(f"dimension {n} above the search limit {budget.max_dimension}")
     fits = kind.size <= n if kind.name == "star" else at_most_power_of_two(kind.size, n)
     if not fits:
         raise ValueError(f"no embedded copies of {kind.label()} exist in Q_{n}")
@@ -395,11 +374,11 @@ def min_structure_cut(
         if copies > _COPY_CEILING:
             raise BudgetError(f"the {mode} {kind.label()} pool of Q_{n} holds {copies} copies,"
                               f" over the {_COPY_CEILING} ceiling")
-        pool, masks, orbit_of, reps = _pool(n, kind, mode)
+        pool, masks, reps = _pool(n, kind, mode)
         stats["copies"], stats["orbits"] = len(pool), len(reps)
         candidates = _seed_candidates(n, masks)
         for s in range(2, budget.max_family_size + 1):
-            hit = _level_search(n, masks, orbit_of, reps, candidates, s, stats)
+            hit = _level_search(n, masks, reps, candidates, s, stats)
             if hit is not None:
                 witness = CutFamily(n, kind, mode, tuple(pool[i] for i in hit))
                 return OracleResult(s, EXACT, witness, stats=stats)

@@ -208,11 +208,11 @@ def _oracle_pin_commands():
 
 
 # every kind and mode at n = 3, 4 with the default family-size budget, and two
-# n = 5 searches; re-recorded when copies and orbits came to count the pool a
-# search builds (0 for the six answers of 1, Q4 P7, P8 and C8 in both modes) and
-# the default family size became 4 at n = 5 too (max_size of Q5 P4), with no value,
-# status, witness, cut_tests or memo_hits changed
-_ORACLE_SHA256 = "a1db86d36268494d84e5e6d1483fd68f2e4a4f7c9b46b4db521ae0c3bc4bc457"
+# n = 5 searches; re-recorded when the pool came to hold each orbit as one run in
+# seed order, not sorted: the witnesses of Q3 P4, Q4 P4, P5 and P6 structure, Q4 P5,
+# P6 and C6 substructure, Q5 C8 (--max-size 3) and Q5 P4 changed, and so did the
+# cut_tests of Q3 and Q4 C4 structure, with no value, status, copies or orbits changed
+_ORACLE_SHA256 = "06f27a524dbd1e362cee3e6548ea83af85e325f53c5822f57cf727b58beeb770"
 
 
 def test_oracle_stdout_is_byte_stable(capsys):
@@ -333,6 +333,19 @@ def test_verify_nmax_below_three_exits_2(capsys):
         assert code == 2
         assert out == ""
         assert f"--nmax must be at least 3, got {nmax}" in err
+
+
+@pytest.mark.parametrize("scope, nmax", [("all", "5"), ("budengs", "3")])
+def test_verify_nmax_below_the_budengs_floor_exits_2_before_any_row(capsys, monkeypatch, scope, nmax):
+    def build_rows(nmax):
+        raise AssertionError("rows built before refusing")
+
+    for name, (_, default) in list(cli._SCOPES.items()):
+        monkeypatch.setitem(cli._SCOPES, name, (build_rows, default))
+    code, out, err = run(capsys, "verify", "--scope", scope, "--nmax", nmax)
+    assert code == 2
+    assert out == ""
+    assert f"--nmax must be at least 6 for the budengs scope, got {nmax}" in err
 
 
 @pytest.mark.parametrize("nmax", [str(cli.MAX_VERIFY_NMAX + 1), "100000"])
@@ -501,6 +514,23 @@ def test_property_test_scans_from_dimension_2(capsys):
     code, out, _ = run(capsys, "property-test", "--suite", "common-neighbors", "--nmax", "2")
     assert code == 0
     assert json.loads(out)["rows"][0]["detail"] == "exhaustive n <= 2"
+
+
+@pytest.mark.parametrize("argv", [
+    ("construct", "--n", "4", "--kind", "path", "--k", "3"),
+    ("verify", "--scope", "g-extra"),
+    ("oracle", "--n", "3", "--kind", "path", "--k", "3"),
+    ("export-dot", "--n", "3"),
+    ("property-test", "--suite", "common-neighbors", "--nmax", "2"),
+], ids=lambda argv: argv[0])
+def test_unwritable_out_exits_2_without_a_traceback(capsys, tmp_path, argv):
+    target = tmp_path / "missing" / "f.json"
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert "Traceback" not in err
+    assert not target.parent.exists()
 
 
 def test_usage_error_exit_code(capsys):

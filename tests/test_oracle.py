@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from collections import Counter
 from itertools import combinations
 from math import factorial
@@ -188,17 +189,19 @@ def _no_seeds(*args):
 
 
 def test_dimension_gates(monkeypatch):
+    # MAX_SEARCH_DIM is the one dimension fact: the default budget, and the most any budget may ask for
+    with pytest.raises(ValueError, match="max_dimension must be <= 5, got 6"):
+        SearchBudget(max_dimension=6)
+    assert SearchBudget().max_dimension == oracle.MAX_SEARCH_DIM == 5
+    result = min_structure_cut(5, StructureKind("cycle", 4))  # the default budget searches dimension 5
+    assert (result.value, result.status) == (formulas.kappa_baseline(5, StructureKind("cycle", 4)).value, "exact")
     monkeypatch.setattr(oracle, "_seeds", _no_seeds)  # every gate is arithmetic, checked before level 1
-    with pytest.raises(BudgetError):
-        min_structure_cut(5, StructureKind("cycle", 4))  # needs an explicit dimension-5 budget
-    with pytest.raises(BudgetError):
+    with pytest.raises(BudgetError, match="dimension 4 above the search limit 3"):
         min_structure_cut(4, StructureKind("path", 3), budget=SearchBudget(max_dimension=3))
-    with pytest.raises(BudgetError):
-        min_structure_cut(6, StructureKind("path", 3), budget=SearchBudget(max_dimension=5))
-    with pytest.raises(BudgetError):  # n >= 6 is refused whatever max_dimension says
-        min_structure_cut(6, StructureKind("path", 3), budget=SearchBudget(3, 6))
+    with pytest.raises(BudgetError, match="dimension 6 above the search limit 5"):
+        min_structure_cut(6, StructureKind("path", 3))
     with pytest.raises(BudgetError):  # the dimension comes before the size of H
-        min_structure_cut(6, StructureKind("path", 10**9), budget=SearchBudget(3, 6))
+        min_structure_cut(6, StructureKind("path", 10**9))
     for n in (0, -1):
         with pytest.raises(ValueError, match=f"dimension must be >= 1, got {n}"):
             min_structure_cut(n, StructureKind("path", 3), budget=SearchBudget(3, 5))
@@ -247,20 +250,34 @@ def _key(shape, verts):
     return (_SHAPE_RANK[shape], verts)
 
 
+def _runs(els, starts):
+    """The runs of a block or pool that begin at starts, each as the set of its elements' keys."""
+    ends = [*starts[1:], len(els)]
+    return [frozenset(_key(el.shape, el.verts) for el in els[a:b]) for a, b in zip(starts, ends)]
+
+
+def _assert_runs_are_the_orbits(els, masks, starts, reference, n):
+    """els are the reference elements, each once with its mask, and each run is exactly one reference orbit."""
+    assert len(els) == len(reference)
+    assert {_key(el.shape, el.verts) for el in els} == {_key(el.shape, el.verts) for el in reference}
+    assert list(masks) == [sum(1 << v for v in el.verts) for el in els]
+    assert list(starts[:1]) == [0] and list(starts) == sorted(set(starts))
+    runs, orbits = _runs(els, starts), _whole_pool_partition(reference, n)
+    assert len(runs) == len(orbits)
+    assert set(runs) == orbits
+
+
 def _whole_pool_partition(pool, n):
-    """The orbit partition of a whole pool at once, as the oracle did before blocks: (orbit_of, reps)."""
-    index = {_key(el.shape, el.verts): i for i, el in enumerate(pool)}
-    orbit_of = [-1] * len(pool)
-    reps = []
-    for idx, el in enumerate(pool):
-        if orbit_of[idx] >= 0:
-            continue
-        for table in automorphism_vertex_tables(n):
-            j = index[_key(el.shape, tuple(table[v] for v in el.verts))]
-            if orbit_of[j] < 0:
-                orbit_of[j] = len(reps)
-        reps.append(idx)
-    return orbit_of, reps
+    """The orbit partition of a whole pool at once, as the oracle did before blocks: a set of frozensets of keys."""
+    keys = {_key(el.shape, el.verts) for el in pool}
+    orbits, seen = set(), set()
+    for el in pool:
+        if _key(el.shape, el.verts) not in seen:
+            orbit = frozenset(_key(el.shape, tuple(table[v] for v in el.verts)) for table in automorphism_vertex_tables(n))
+            assert orbit <= keys  # the pool is closed under the group
+            orbits.add(orbit)
+            seen |= orbit
+    return orbits
 
 
 # Reference enumerators that do not use the automorphism group, so they check the seeds and
@@ -335,21 +352,14 @@ _POOL_CASES = (
 @pytest.mark.parametrize("n,kind,mode", _POOL_CASES,
                          ids=[f"Q{n}-{kind.label()}-{mode}" for n, kind, mode in _POOL_CASES])
 def test_block_built_pool_matches_whole_pool_partition(n, kind, mode):
+    # the pool is its runs, one per orbit, and reps are the run starts; the order is not sorted
     pool = []
     for shape, size in admissible_shapes(kind, mode):
         if shape == "star":
             pool += _enumerate_stars(n, size)
         else:
             pool += _enumerate_walks(n, size, shape == "cycle")
-    pool.sort(key=lambda el: (_SHAPE_RANK[el.shape], el.verts))
-    orbit_of, reps = _whole_pool_partition(pool, n)
-    masks = [sum(1 << v for v in el.verts) for el in pool]
-
-    els, got_masks, got_orbit_of, got_reps = oracle._pool(n, kind, mode)
-    assert els == pool
-    assert got_masks == masks
-    assert got_orbit_of == orbit_of
-    assert got_reps == reps
+    _assert_runs_are_the_orbits(*oracle._pool(n, kind, mode), pool, n)
 
 
 _BLOCKS = [(n, shape, size) for n in (3, 4)
@@ -361,13 +371,12 @@ _BLOCKS = [(n, shape, size) for n in (3, 4)
 @given(block=st.sampled_from(_BLOCKS), data=st.data())
 def test_block_orbits_closed_under_random_automorphism(block, data):
     n, shape, size = block
-    els, _, orbit_of = pool_block(n, shape, size)
+    els, _, starts = pool_block(n, shape, size)
     perm = data.draw(st.permutations(range(n)))
     table = Automorphism(n, tuple(perm), data.draw(st.integers(0, (1 << n) - 1))).vertex_table()
-    index = {el.verts: i for i, el in enumerate(els)}
-    for i, el in enumerate(els):
-        j = index[_key(shape, tuple(table[v] for v in el.verts))[1]]
-        assert orbit_of[j] == orbit_of[i]
+    run_of = {el.verts: bisect_right(starts, i) - 1 for i, el in enumerate(els)}
+    for el in els:
+        assert run_of[_key(shape, tuple(table[v] for v in el.verts))[1]] == run_of[el.verts]
 
 
 @settings(max_examples=30, deadline=None)
@@ -375,8 +384,9 @@ def test_block_orbits_closed_under_random_automorphism(block, data):
 def test_block_orbit_sizes_divide_group_order(block):
     n, shape, size = block
     group_order = (1 << n) * factorial(n)
-    for orbit_size in Counter(pool_block(n, shape, size)[2]).values():
-        assert group_order % orbit_size == 0
+    els, _, starts = pool_block(n, shape, size)
+    for a, b in zip(starts, [*starts[1:], len(els)]):
+        assert group_order % (b - a) == 0
 
 
 def _unpruned_cycles(n, k):
@@ -416,12 +426,8 @@ _GROWN_BLOCKS = (
 
 @pytest.mark.parametrize("n,shape,size", _GROWN_BLOCKS, ids=[f"Q{n}-{s}{k}" for n, s, k in _GROWN_BLOCKS])
 def test_block_grown_from_seeds_matches_the_all_starts_dfs(n, shape, size):
-    els = sorted(_enumerate_walks(n, size, shape == "cycle"), key=lambda el: el.verts)
-    orbit_of, _ = _whole_pool_partition(els, n)
-    got_els, got_masks, got_orbit_of = pool_block(n, shape, size)
-    assert list(got_els) == els
-    assert list(got_masks) == [sum(1 << v for v in el.verts) for el in els]
-    assert list(got_orbit_of) == orbit_of
+    els = _enumerate_walks(n, size, shape == "cycle")
+    _assert_runs_are_the_orbits(*pool_block(n, shape, size), els, n)
     assert oracle._block_size(n, shape, size) == len(els)
 
 
@@ -535,6 +541,43 @@ def test_dimension_5_values_match_the_closed_forms():
     pool_block.cache_clear()
 
 
+# pools with no cut of 2, so the size-2 sweep runs to its end: Q3 vertices, Q4 K1 and K1,1
+# substructure (two blocks), and Q5 P4 structure (1,280 copies in 2 orbits)
+_MISSED_SWEEPS = [(3, StructureKind("vertex", 1), "structure"), (4, StructureKind("edge", 2), "substructure"),
+                  (5, StructureKind("path", 4), "structure")]
+
+
+@pytest.mark.parametrize("n,kind,mode", _MISSED_SWEEPS, ids=[f"Q{n}-{k.label()}-{m}" for n, k, m in _MISSED_SWEEPS])
+def test_the_sweep_tests_each_family_from_a_run_start_once_and_as_many_as_its_estimate(monkeypatch, n, kind, mode):
+    _, masks, reps = oracle._pool(n, kind, mode)
+    tested = []
+
+    def record(n, mask, memo, stats):
+        tested.append(mask)
+        return False
+
+    monkeypatch.setattr(oracle, "_cut_test", record)
+    assert oracle._level_search(n, masks, reps, [], 2, {}) is None  # no seeded candidates: the sweep alone
+    # the families whose first copy is a run start, listed without the sweep's own ranges
+    starts = set(reps)
+    families = [masks[i] | masks[j] for i, j in combinations(range(len(masks)), 2) if i in starts]
+    assert sorted(tested) == sorted(families)
+    # the ceiling estimate counts exactly those families: one below it refuses the sweep
+    monkeypatch.setattr(oracle, "_COMBINATION_CEILING", len(families) - 1)
+    with pytest.raises(BudgetError, match=f"needs about {len(families)} family tests"):
+        oracle._level_search(n, masks, reps, [], 2, {})
+    if n == 5:
+        return  # the group check below would map 818,560 pairs through 3,840 automorphisms
+    # every pair of the pool is an automorphic image of one the sweep tested
+    tables = automorphism_vertex_tables(n)
+
+    def orbit_key(mask):
+        verts = [v for v in range(1 << n) if mask >> v & 1]
+        return min(sum(1 << table[v] for v in verts) for table in tables)
+
+    assert {orbit_key(m) for m in tested} == {orbit_key(a | b) for a, b in combinations(masks, 2)}
+
+
 def test_enumerate_copies_returns_a_fresh_list():
     first = enumerate_copies(3, StructureKind("path", 3), "substructure")
     expected = list(first)
@@ -543,10 +586,11 @@ def test_enumerate_copies_returns_a_fresh_list():
 
 
 def test_cached_block_is_made_of_tuples():
-    block = pool_block(3, "cycle", 4)
+    block = pool_block(3, "path", 4)  # 48 copies in 2 orbits
     assert isinstance(block, tuple)
     assert all(isinstance(part, tuple) for part in block)
-    assert len({len(part) for part in block}) == 1
+    els, masks, starts = block
+    assert (len(els), len(masks), len(starts), starts[0]) == (48, 48, 2, 0)
 
 
 def test_each_cli_command_starts_from_an_empty_block_cache(monkeypatch, capsys):
