@@ -541,8 +541,8 @@ def test_dimension_5_values_match_the_closed_forms():
     pool_block.cache_clear()
 
 
-# pools with no cut of 2, so the size-2 sweep runs to its end: Q3 vertices, Q4 K1 and K1,1
-# substructure (two blocks), and Q5 P4 structure (1,280 copies in 2 orbits)
+# pools with no cut of 2, so the size-2 sweep runs to its end: Q3 vertices, Q4 edge substructure
+# (two blocks, vertices and edges), and Q5 P4 structure (1,280 copies in 2 orbits)
 _MISSED_SWEEPS = [(3, StructureKind("vertex", 1), "structure"), (4, StructureKind("edge", 2), "substructure"),
                   (5, StructureKind("path", 4), "structure")]
 
