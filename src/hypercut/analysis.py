@@ -1,10 +1,12 @@
 """Complement connectivity, cut validation, neighborhood bounds, and
 brute-force extra connectivity.
 
-Vertex sets live in single integers (bit v set = vertex v present), so a
-BFS level is n shift-and-mask operations regardless of how many vertices
-move.  That keeps exhaustive sweeps over Q_11 complements and over all
-C(16, s) removal sets of Q_4 cheap.
+Vertex sets live in single integers (bit v set = vertex v present).  A
+component grows by passes over the n coordinates, one shift-and-mask
+operation per coordinate, however many vertices move; a pass reaches at
+least as far as a BFS level, and most cut tests settle in two passes.
+That keeps exhaustive sweeps over Q_11 complements and over the C(15, s - 1)
+removal sets of Q_4 that hold vertex 0 cheap.
 """
 
 from __future__ import annotations
@@ -50,15 +52,22 @@ def vertex_mask(n: int, vertices: Iterable[int]) -> int:
 
 
 def _grow_component(n: int, seed: int, allowed: int) -> int:
-    """The component of the allowed vertices that contains the one-vertex mask seed."""
+    """The component of the allowed vertices that contains the one-vertex mask seed.
+
+    Each pass runs over coordinates 0..n-1 and adds the allowed neighbours
+    across that coordinate of everything reached so far, so vertices reached
+    through one coordinate are carried on by the later ones in the same pass.
+    A pass therefore reaches at least one BFS level further, and never leaves
+    the component, so passes repeat until one adds nothing, which takes no
+    more passes than the BFS takes levels.  Growth stops early once every
+    allowed vertex is reached, the usual end of a cut test that finds no cut.
+    """
     shifts = coordinate_shift_masks(n)
-    frontier = visited = seed
-    while frontier:
-        nxt = 0
+    visited, before = seed, 0
+    while visited != before and visited != allowed:
+        before = visited
         for b, lo, hi in shifts:
-            nxt |= ((frontier & lo) << b) | ((frontier & hi) >> b)
-        frontier = nxt & allowed & ~visited
-        visited |= frontier
+            visited |= (((visited & lo) << b) | ((visited & hi) >> b)) & allowed
     return visited
 
 
@@ -119,7 +128,8 @@ def validate_cut(family: CutFamily) -> CutVerdict:
     (shape, size) is admissible for the family's kind and mode.  A vertex
     outside the union with all n neighbors inside it is cut off, or is all
     that is left, so the family is a cut at any n; only when no neighbor of
-    the union is such a vertex does the 2^n-bit complement BFS decide.
+    the union is such a vertex does component growth over the 2^n-bit
+    complement decide.
     """
     admissible = admissible_shapes(family.kind, family.mode)
     for idx, el in enumerate(family.elements):
@@ -155,9 +165,12 @@ def path_neighbor_bound(k: int) -> int:
 def g_extra_connectivity(n: int, g: int) -> int:
     """Brute-force minimum removal that disconnects Q_n into components of size >= g + 1.
 
-    Plain cardinality-ordered subset enumeration with early exit; only sane
-    up to the exhaustive ceiling (C(16, 6) candidates at n = 4 are trivial,
-    n = 5 would not be).
+    Cardinality-ordered enumeration of the removal sets that contain vertex
+    0, with early exit.  That is exact: the translation x -> x ^ f, for any
+    f in a separating set F, is an automorphism that carries F onto a set
+    holding 0 and keeps every component size.  Only sane up to the
+    exhaustive ceiling (C(15, 5) candidates at n = 4 are trivial, n = 5
+    would not be).
     """
     if n > 4:
         raise ValueError(f"dimension {n} above exhaustive ceiling 4")
@@ -165,8 +178,8 @@ def g_extra_connectivity(n: int, g: int) -> int:
         raise ValueError(f"g must be in [0, {n}], got {g}")
     size = 1 << n
     for s in range(1, size):
-        for subset in combinations(range(size), s):
-            comps = component_masks(n, vertex_mask(n, subset))
+        for rest in combinations(range(1, size), s - 1):
+            comps = component_masks(n, 1 | sum(1 << v for v in rest))
             if len(comps) >= 2 and min(c.bit_count() for c in comps) >= g + 1:
                 return s
     raise ValueError(f"no removal of Q_{n} satisfies the g = {g} condition")

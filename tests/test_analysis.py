@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -5,6 +7,7 @@ from hypercut.analysis import (
     MALFORMED,
     NOT_A_CUT,
     VALID_CUT,
+    component_masks,
     components_after_removal,
     g_extra_connectivity,
     is_disconnecting_mask,
@@ -82,6 +85,41 @@ def _set_based_components(n, removed):
 def test_components_match_set_based_bfs(n, data):
     removed = data.draw(st.sets(st.integers(0, (1 << n) - 1), max_size=(1 << n) - 1))
     assert list(components_after_removal(n, removed)) == _set_based_components(n, removed)
+
+
+def _masks_of_q4_and_below():
+    """Every removal mask of Q_1..Q_3, and of Q_4 those removing at most 5 or at least 11 vertices."""
+    for n in (1, 2, 3):
+        for mask in range(1 << (1 << n)):
+            yield n, mask
+    for s in (*range(6), *range(11, 17)):
+        for removed in combinations(range(16), s):
+            yield 4, sum(1 << v for v in removed)
+
+
+def test_kernel_matches_set_based_bfs_on_every_small_mask():
+    # the far end holds the small snake-like complements that take the most passes
+    checked = 0
+    for n, mask in _masks_of_q4_and_below():
+        removed = [v for v in range(1 << n) if mask >> v & 1]
+        expected = _set_based_components(n, removed)
+        assert sorted(component_masks(n, mask)) == sorted(vertex_mask(n, c) for c in expected), (n, mask)
+        trivial = (1 << n) - len(removed) <= 1
+        assert is_disconnecting_mask(n, mask) == (trivial or len(expected) >= 2), (n, mask)
+        checked += 1
+    assert checked == 4 + 16 + 256 + 13_770
+
+
+def test_component_growth_follows_a_path_whose_coordinates_descend():
+    # 0-8-12-14-15 steps along coordinates 3, 2, 1, 0: each pass over the
+    # coordinates in order extends it by one vertex, so it takes four passes
+    path = {0, 8, 12, 14, 15}
+    removed = vertex_mask(4, set(range(16)) - path)
+    assert not is_disconnecting_mask(4, removed)
+    assert component_masks(4, removed) == [vertex_mask(4, path)]
+    removed |= 1 << 12
+    assert is_disconnecting_mask(4, removed)
+    assert component_masks(4, removed) == [vertex_mask(4, {0, 8}), vertex_mask(4, {14, 15})]
 
 
 def test_validate_constructed_family():
@@ -198,6 +236,31 @@ def test_g_extra_small_values():
     assert g_extra_connectivity(4, 0) == 4
     assert g_extra_connectivity(4, 1) == 6
     assert g_extra_connectivity(4, 2) == 6
+
+
+def _g_extra_over_all_subsets(n, g):
+    """Every removal set by size, vertex 0 or not: the search the translation argument shortens."""
+    size = 1 << n
+    for s in range(1, size):
+        for subset in combinations(range(size), s):
+            comps = component_masks(n, vertex_mask(n, subset))
+            if len(comps) >= 2 and min(c.bit_count() for c in comps) >= g + 1:
+                return s
+    return None
+
+
+def test_g_extra_matches_the_all_subsets_brute_force():
+    defined = 0
+    for n in range(1, 5):
+        for g in range(n + 1):
+            expected = _g_extra_over_all_subsets(n, g)
+            if expected is None:
+                with pytest.raises(ValueError, match="no removal"):
+                    g_extra_connectivity(n, g)
+            else:
+                assert g_extra_connectivity(n, g) == expected, (n, g)
+                defined += 1
+    assert defined == 8  # Q2 g = 0, Q3 g = 0 and 1, Q4 g = 0..4
 
 
 def test_g_extra_rejections():
