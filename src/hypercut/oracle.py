@@ -5,15 +5,19 @@ The copies of the structure (or of its connected subgraphs) come in
 seeds: every copy is an automorphic image of a seed.  An automorphism
 keeps "is a cut", so level 1 (one element alone) is answered by streaming
 the seeds, with no copy built.  Only when no single element is a cut does
-the oracle build the pool, one pass of the automorphism group per orbit,
-and search families of size 2, 3, ... until one disconnects or trivializes
-the cube.  Each stage has one budget rule: the dimension limit bounds
-level 1, the copy ceiling the pool, and the combination ceiling each
-sweep.  The pool holds each orbit as one run, in seed order, and
-the first element of a family is restricted to the first copy of a run,
-which is sound: any cut can be carried by an automorphism onto one whose
-earliest-orbit element is that orbit's first copy, and every orbit is
-kept, so the remaining elements only need to range over later copies.
+the oracle build the pool and search families of size 2, 3, ... until one
+disconnects or trivializes the cube.  Whether a family is a cut depends
+only on its vertex sets, so the pool holds each block's vertex sets, not
+its labelled copies, and a minimum family never holds two elements on
+one vertex set (dropping one keeps the union).  An element is built from
+its vertex set only when it joins a witness.  Each stage has one budget
+rule: the dimension limit bounds level 1, the copy ceiling the pool, and
+the combination ceiling each sweep.  The pool holds each orbit as one
+run, in seed order, and the first element of a family is restricted to
+the first vertex set of a run, which is sound: the group acts on vertex
+sets, any cut can be carried by an automorphism onto one whose
+earliest-orbit element is that orbit's first, and every orbit is kept,
+so the remaining elements only need to range over later vertex sets.
 Before each exhaustive pass, a cheap seeded pass hunts for cuts that
 isolate a fixed vertex or edge, since every known minimum cut here does
 exactly that.
@@ -28,7 +32,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterator, Mapping
 
-from .analysis import is_disconnecting_mask, neighborhood_vertex_mask
+from .analysis import coordinate_shift_masks, is_disconnecting_mask, neighborhood_vertex_mask
 from .core import automorphism_vertex_tables
 from .cuts import CutElement, CutFamily, StructureKind, STRUCTURE, admissible_shapes, at_most_power_of_two
 from .embeddings import CubeCycle, CubePath, CubeStar, canonical_cycle_orientation
@@ -50,7 +54,7 @@ class SearchBudget:
     A search refuses any n above max_dimension, which is at most
     MAX_SEARCH_DIM.  Families of up to max_family_size elements are searched,
     the same at every n; families of 2 or more only from a pool of at most
-    _COPY_CEILING copies, and each size under _COMBINATION_CEILING tests.
+    _COPY_CEILING labelled copies, and each size under _COMBINATION_CEILING tests.
     """
 
     max_family_size: int = 4
@@ -163,7 +167,7 @@ def neighbor_count_maximum(n: int, shape: str, k: int) -> int | None:
 
 @lru_cache(maxsize=None)
 def _block_size(n: int, shape: str, size: int) -> int:
-    """The number of copies in pool_block(n, shape, size), counted from its seeds alone.
+    """The number of labelled copies on pool_block(n, shape, size)'s vertex sets, counted from its seeds alone.
 
     A seed crossing coordinates 0..d-1 (d is its largest label's bit
     length) is carried onto 2^n * n!/(n-d)! labelled copies; a copy has 2
@@ -175,60 +179,117 @@ def _block_size(n: int, shape: str, size: int) -> int:
     return (labelled << n) // labellings
 
 
-def enumerate_copies(n: int, kind: StructureKind, mode: str = STRUCTURE) -> list[CutElement]:
-    """Every embedded element admissible for (kind, mode), deduplicated canonically.
+def _elements_on(n: int, shape: str, mask: int) -> list[tuple[int, ...]]:
+    """The canonical vertex tuples of every element of one shape whose vertex set is mask, sorted.
 
-    The copies come block by block in admissible_shapes order, and within
-    a block orbit by orbit, in seed order, not sorted.
+    A DFS inside the mask.  A star is centred at each vertex adjacent to all
+    the others.  A vertex with fewer than two neighbours in the mask leaves
+    no cycle and must end every path, so a path is walked from the least
+    such vertex, or from every vertex when there is none; a cycle runs from
+    its least vertex towards the smaller of that vertex's two neighbours.
     """
-    return _pool(n, kind, mode)[0]
+    verts = [v for v in range(1 << n) if mask >> v & 1]
+    nbrs = {v: [v ^ (1 << i) for i in range(n) if mask >> (v ^ (1 << i)) & 1] for v in verts}
+    if shape == "star":
+        return [(c,) + tuple(v for v in verts if v != c) for c in verts if len(nbrs[c]) == len(verts) - 1]
+    closed = shape == "cycle"
+    ends = [v for v in verts if len(nbrs[v]) < 2]
+    if len(ends) > (0 if closed else 2):
+        return []
+    out = []
+
+    def dfs(seq: list[int], left: int) -> None:
+        if not left:
+            if closed:
+                if (seq[-1] ^ seq[0]).bit_count() == 1 and seq[1] < seq[-1]:
+                    out.append(tuple(seq))
+            elif ends or seq[0] < seq[-1]:  # from an end, each path is walked once; else once each way
+                out.append(tuple(seq) if seq[0] < seq[-1] else tuple(reversed(seq)))
+            return
+        for w in nbrs[seq[-1]]:
+            if left >> w & 1:
+                seq.append(w)
+                dfs(seq, left ^ (1 << w))
+                seq.pop()
+
+    for v in verts[:1] if closed else ends[:1] or verts:
+        dfs([v], mask ^ (1 << v))
+    return sorted(out)
+
+
+def enumerate_copies(n: int, kind: StructureKind, mode: str = STRUCTURE) -> list[CutElement]:
+    """Every embedded element admissible for (kind, mode), each once in canonical form.
+
+    Every vertex set of the pool is expanded into the elements on it, so
+    the copies come block by block in admissible_shapes order, within a
+    block orbit by orbit in seed order, and on one vertex set sorted.
+    """
+    shapes, masks, _ = _pool(n, kind, mode)
+    return [_ELEMENT[shape](n, verts) for shape, mask in zip(shapes, masks) for verts in _elements_on(n, shape, mask)]
 
 
 @lru_cache(maxsize=None)
-def pool_block(n: int, shape: str, size: int) -> tuple[tuple[CutElement, ...], tuple[int, ...], tuple[int, ...]]:
-    """Every element of one (shape, size), orbit by orbit: (elements, masks, starts).
+def pool_block(n: int, shape: str, size: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The vertex sets of every element of one (shape, size), orbit by orbit: (masks, starts).
 
-    The block is grown from its seeds: each seed not yet seen opens a run,
-    and one pass of the automorphism group carries it onto every copy in
-    its orbit.  The copies keep the order the passes insert them, so each
-    orbit is one contiguous run, and starts holds where each run begins.
-    An automorphism keeps an element's shape and size, so the orbits of a
-    pool never cross its blocks.  The cache lives for one command: cli.main
-    clears it as it starts.
+    A cut test reads only vertex sets, so no labelled element is built.
+    Each seed whose mask is not yet seen opens a run: its images under the
+    coordinate permutations (the automorphisms fixing 0) are each carried
+    through the 2^n translations in reflected Gray order, one coordinate
+    swap a step, and every new mask is kept.  So each orbit is one
+    contiguous run, and starts holds where each run begins.  An
+    automorphism carries the elements on a vertex set one to one onto those
+    on its image, so the runs, each weighted by the elements on its first
+    mask, must count _block_size: a missing orbit raises AssertionError.
+    The orbits of a pool never cross its blocks.  The cache lives for one
+    command: cli.main clears it as it starts.
     """
-    tables = automorphism_vertex_tables(n)
-    keys: dict[tuple[int, ...], None] = {}  # canonical vertex tuples, in insertion order
+    perms = [table for table in automorphism_vertex_tables(n) if table[0] == 0]
+    shifts = coordinate_shift_masks(n)
+    gray = [shifts[(i & -i).bit_length() - 1] for i in range(1, 1 << n)]  # step i crosses the lowest set bit of i
+    keys: dict[int, None] = {}  # masks, in insertion order
     starts = []
     for seed in _seeds(n, shape, size):
-        if _canon(shape, seed) not in keys:
+        if sum(1 << v for v in seed) not in keys:
             starts.append(len(keys))
-            for table in tables:
-                keys.setdefault(_canon(shape, tuple(map(table.__getitem__, seed))))
-    if len(keys) != _block_size(n, shape, size):
-        raise AssertionError(f"{shape}({size}) of Q_{n} grew {len(keys)} copies, not {_block_size(n, shape, size)}")
-    make = _ELEMENT[shape]
-    return tuple(make(n, key) for key in keys), tuple(sum(1 << v for v in key) for key in keys), tuple(starts)
+            for table in perms:
+                mask = sum(1 << table[v] for v in seed)
+                if mask in keys:
+                    continue  # a translate of an earlier image: its translates are all kept
+                keys[mask] = None
+                for b, lo, hi in gray:
+                    mask = ((mask & lo) << b) | ((mask & hi) >> b)
+                    keys.setdefault(mask)
+    masks = tuple(keys)
+    grown = sum((end - start) * len(_elements_on(n, shape, masks[start]))
+                for start, end in zip(starts, [*starts[1:], len(masks)]))
+    if grown != _block_size(n, shape, size):
+        raise AssertionError(f"{shape}({size}) of Q_{n} grew {grown} copies, not {_block_size(n, shape, size)}")
+    return masks, tuple(starts)
 
 
-def _pool(n: int, kind: StructureKind, mode: str) -> tuple[list[CutElement], list[int], list[int]]:
-    """The (kind, mode) pool, its blocks joined in admissible_shapes order: (elements, masks, reps).
+def _pool(n: int, kind: StructureKind, mode: str) -> tuple[list[str], list[int], list[int]]:
+    """The (kind, mode) pool, its blocks joined in admissible_shapes order: (shapes, masks, reps).
 
-    reps are the run starts of every block, shifted past the earlier
-    blocks: each is the first copy of its orbit.
+    shapes names the block of each mask.  reps are the run starts of every
+    block, shifted past the earlier blocks: each is the first mask of its orbit.
     """
-    els: list[CutElement] = []
+    shapes: list[str] = []
     masks: list[int] = []
     reps: list[int] = []
     for shape, size in admissible_shapes(kind, mode):
-        block_els, block_masks, starts = pool_block(n, shape, size)
-        reps += [len(els) + r for r in starts]
-        els += block_els
+        block_masks, starts = pool_block(n, shape, size)
+        reps += [len(masks) + r for r in starts]
+        shapes += [shape] * len(block_masks)
         masks += block_masks
-    return els, masks, reps
+    return shapes, masks, reps
 
 
-# The most copies a search may build, counted before any block is: just above Q5 P8's 237,120.
-# Q4 P16 substructure holds 725,424 copies, which took 15.7 s and 352 MB to build.
+# The most labelled copies a search may stand for, counted from the seeds before any block is
+# built: just above Q5 P8's 237,120.  A pool holds at most one vertex set per copy (Q5 P8 holds
+# 119,320), so the count bounds what is built from above.  Q4 P16 substructure stands for
+# 725,424 copies: built as labelled copies they took 15.7 s and 352 MB, and its 19,673 vertex
+# sets take about 1.3 s, most of it spent counting the paths on each run's first vertex set.
 _COPY_CEILING = 250_000
 
 
@@ -263,7 +324,7 @@ _Candidates = list[tuple[int, list[int], list[int], list[int]]]
 def _seed_candidates(n: int, masks: list[int]) -> _Candidates:
     """(target, idxs, coverages, covers) for the neighborhoods of vertex 0 and of edge {0, e_0}.
 
-    The candidates are the 400 elements covering most of the target while
+    The candidates are the 400 vertex sets covering most of the target while
     avoiding the vertex or edge itself, best first and then by pool index.
     They do not depend on the family size, so a search finds them once.
     """
@@ -315,7 +376,7 @@ def _level_search(
 ) -> tuple[int, ...] | None:
     """Search all families of size s; None only after an exhaustive sweep.
 
-    Each family starts at a run start r and takes the rest from the copies after r.
+    Each family starts at a run start r and takes the rest from the vertex sets after r.
     """
     memo: dict[int, bool] = {}
     hit = _seed_level(n, masks, candidates, s, memo, stats)
@@ -352,8 +413,9 @@ def min_structure_cut(
     its domain is finite and small.  Only if no single element is a cut,
     and the budget allows families of 2 or more, is the pool counted
     against _COPY_CEILING, then built, for the seeded and exhaustive passes
-    at s = 2, 3, ...  The stats' copies and orbits count the pool built,
-    so they are 0 when none is.  Exact results carry a witness, and running
+    at s = 2, 3, ...  The stats' copies and orbits count the vertex sets and
+    orbits of the pool built, so they are 0 when none is.  Exact results
+    carry a witness, each element the first on its vertex set, and running
     past the size budget yields a lower bound, never a wrong exact value.
     """
     budget = budget or SearchBudget()
@@ -374,12 +436,13 @@ def min_structure_cut(
         if copies > _COPY_CEILING:
             raise BudgetError(f"the {mode} {kind.label()} pool of Q_{n} holds {copies} copies,"
                               f" over the {_COPY_CEILING} ceiling")
-        pool, masks, reps = _pool(n, kind, mode)
-        stats["copies"], stats["orbits"] = len(pool), len(reps)
+        shapes, masks, reps = _pool(n, kind, mode)
+        stats["copies"], stats["orbits"] = len(masks), len(reps)
         candidates = _seed_candidates(n, masks)
         for s in range(2, budget.max_family_size + 1):
             hit = _level_search(n, masks, reps, candidates, s, stats)
             if hit is not None:
-                witness = CutFamily(n, kind, mode, tuple(pool[i] for i in hit))
+                elements = (_ELEMENT[shapes[i]](n, _elements_on(n, shapes[i], masks[i])[0]) for i in hit)
+                witness = CutFamily(n, kind, mode, tuple(elements))
                 return OracleResult(s, EXACT, witness, stats=stats)
     return OracleResult(budget.max_family_size + 1, LOWER_BOUND, None, stats=stats)

@@ -208,11 +208,11 @@ def _oracle_pin_commands():
 
 
 # every kind and mode at n = 3, 4 with the default family-size budget, and two
-# n = 5 searches; re-recorded when the pool came to hold each orbit as one run in
-# seed order, not sorted: the witnesses of Q3 P4, Q4 P4, P5 and P6 structure, Q4 P5,
-# P6 and C6 substructure, Q5 C8 (--max-size 3) and Q5 P4 changed, and so did the
-# cut_tests of Q3 and Q4 C4 structure, with no value, status, copies or orbits changed
-_ORACLE_SHA256 = "06f27a524dbd1e362cee3e6548ea83af85e325f53c5822f57cf727b58beeb770"
+# n = 5 searches; re-recorded when pools came to hold vertex sets, not labelled
+# copies: copies (and for Q4 P6 structure, P6 and C6 substructure, orbits) now count
+# vertex sets in 14 commands, the witnesses of Q3 K1,3 and Q4 P6 structure changed,
+# and so did the cut_tests of Q4 C4 structure and Q5 P4, with no value or status changed
+_ORACLE_SHA256 = "79bc93aecca6fe986a801f3915b6b7d63ed9235a63eb73174930f81af2e9f338"
 
 
 def test_oracle_stdout_is_byte_stable(capsys):

@@ -234,46 +234,39 @@ def test_orbit_statistics_reported():
 
 # --- pools built from cached blocks ---
 
-_SHAPE_RANK = {"path": 0, "cycle": 1, "star": 2}
+
+def _mask(verts):
+    return sum(1 << v for v in verts)
 
 
-def _key(shape, verts):
-    """(shape rank, canonical vertex tuple) of an element given by its raw image."""
-    if shape == "cycle":
-        start = verts.index(min(verts))
-        fwd = verts[start:] + verts[:start]
-        verts = min(fwd, fwd[:1] + fwd[:0:-1])
-    elif shape == "star":
-        verts = verts[:1] + tuple(sorted(verts[1:]))
-    elif verts[0] > verts[-1]:
-        verts = verts[::-1]
-    return (_SHAPE_RANK[shape], verts)
+def _image(table, mask):
+    """The vertex set mask carried by an automorphism's vertex table."""
+    return sum(1 << w for v, w in enumerate(table) if mask >> v & 1)
 
 
-def _runs(els, starts):
-    """The runs of a block or pool that begin at starts, each as the set of its elements' keys."""
-    ends = [*starts[1:], len(els)]
-    return [frozenset(_key(el.shape, el.verts) for el in els[a:b]) for a, b in zip(starts, ends)]
+def _runs(keys, starts):
+    """The runs of a block or pool that begin at starts, each as the set of its keys."""
+    ends = [*starts[1:], len(keys)]
+    return [frozenset(keys[a:b]) for a, b in zip(starts, ends)]
 
 
-def _assert_runs_are_the_orbits(els, masks, starts, reference, n):
-    """els are the reference elements, each once with its mask, and each run is exactly one reference orbit."""
-    assert len(els) == len(reference)
-    assert {_key(el.shape, el.verts) for el in els} == {_key(el.shape, el.verts) for el in reference}
-    assert list(masks) == [sum(1 << v for v in el.verts) for el in els]
+def _assert_runs_are_the_orbits(keys, starts, reference, n):
+    """keys are the reference's (shape, mask) pairs, each once, and each run is exactly one reference orbit."""
+    assert len(keys) == len(set(keys))
+    assert set(keys) == {(el.shape, _mask(el.verts)) for el in reference}
     assert list(starts[:1]) == [0] and list(starts) == sorted(set(starts))
-    runs, orbits = _runs(els, starts), _whole_pool_partition(reference, n)
+    runs, orbits = _runs(keys, starts), _whole_pool_partition(reference, n)
     assert len(runs) == len(orbits)
     assert set(runs) == orbits
 
 
 def _whole_pool_partition(pool, n):
-    """The orbit partition of a whole pool at once, as the oracle did before blocks: a set of frozensets of keys."""
-    keys = {_key(el.shape, el.verts) for el in pool}
+    """The orbit partition of a pool's (shape, mask) pairs, taken over the whole group: a set of frozensets."""
+    keys = {(el.shape, _mask(el.verts)) for el in pool}
     orbits, seen = set(), set()
-    for el in pool:
-        if _key(el.shape, el.verts) not in seen:
-            orbit = frozenset(_key(el.shape, tuple(table[v] for v in el.verts)) for table in automorphism_vertex_tables(n))
+    for shape, mask in keys:
+        if (shape, mask) not in seen:
+            orbit = frozenset((shape, _image(table, mask)) for table in automorphism_vertex_tables(n))
             assert orbit <= keys  # the pool is closed under the group
             orbits.add(orbit)
             seen |= orbit
@@ -352,14 +345,15 @@ _POOL_CASES = (
 @pytest.mark.parametrize("n,kind,mode", _POOL_CASES,
                          ids=[f"Q{n}-{kind.label()}-{mode}" for n, kind, mode in _POOL_CASES])
 def test_block_built_pool_matches_whole_pool_partition(n, kind, mode):
-    # the pool is its runs, one per orbit, and reps are the run starts; the order is not sorted
+    # the pool is its blocks' vertex sets, one run per orbit, and reps are the run starts; the order is not sorted
     pool = []
     for shape, size in admissible_shapes(kind, mode):
         if shape == "star":
             pool += _enumerate_stars(n, size)
         else:
             pool += _enumerate_walks(n, size, shape == "cycle")
-    _assert_runs_are_the_orbits(*oracle._pool(n, kind, mode), pool, n)
+    shapes, masks, reps = oracle._pool(n, kind, mode)
+    _assert_runs_are_the_orbits(list(zip(shapes, masks)), reps, pool, n)
 
 
 _BLOCKS = [(n, shape, size) for n in (3, 4)
@@ -371,12 +365,12 @@ _BLOCKS = [(n, shape, size) for n in (3, 4)
 @given(block=st.sampled_from(_BLOCKS), data=st.data())
 def test_block_orbits_closed_under_random_automorphism(block, data):
     n, shape, size = block
-    els, _, starts = pool_block(n, shape, size)
+    masks, starts = pool_block(n, shape, size)
     perm = data.draw(st.permutations(range(n)))
     table = Automorphism(n, tuple(perm), data.draw(st.integers(0, (1 << n) - 1))).vertex_table()
-    run_of = {el.verts: bisect_right(starts, i) - 1 for i, el in enumerate(els)}
-    for el in els:
-        assert run_of[_key(shape, tuple(table[v] for v in el.verts))[1]] == run_of[el.verts]
+    run_of = {mask: bisect_right(starts, i) - 1 for i, mask in enumerate(masks)}
+    for mask in masks:
+        assert run_of[_image(table, mask)] == run_of[mask]
 
 
 @settings(max_examples=30, deadline=None)
@@ -384,8 +378,8 @@ def test_block_orbits_closed_under_random_automorphism(block, data):
 def test_block_orbit_sizes_divide_group_order(block):
     n, shape, size = block
     group_order = (1 << n) * factorial(n)
-    els, _, starts = pool_block(n, shape, size)
-    for a, b in zip(starts, [*starts[1:], len(els)]):
+    masks, starts = pool_block(n, shape, size)
+    for a, b in zip(starts, [*starts[1:], len(masks)]):
         assert group_order % (b - a) == 0
 
 
@@ -395,8 +389,8 @@ def _unpruned_cycles(n, k):
 
     def dfs(seq, used):
         if len(seq) == k:
-            if (seq[-1] ^ seq[0]).bit_count() == 1:
-                found.add(_key("cycle", tuple(seq))[1])
+            if (seq[-1] ^ seq[0]).bit_count() == 1 and seq[1] < seq[-1]:
+                found.add(tuple(seq))
             return
         for i in range(n):
             w = seq[-1] ^ (1 << i)
@@ -411,9 +405,11 @@ def _unpruned_cycles(n, k):
 @settings(max_examples=15, deadline=None)
 @given(n=st.integers(2, 5), k=st.sampled_from([4, 6, 8]))
 def test_pruned_cycle_enumeration_matches_unpruned_dfs(n, k):
-    cycles = [c.verts for c in pool_block(n, "cycle", k)[0]]
-    assert len(cycles) == len(set(cycles))
+    masks = pool_block(n, "cycle", k)[0]
+    cycles = [c for mask in masks for c in oracle._elements_on(n, "cycle", mask)]
+    assert len(masks) == len(set(masks)) and len(cycles) == len(set(cycles))
     assert set(cycles) == (_unpruned_cycles(n, k) if k <= 1 << n else set())
+    assert set(masks) == {_mask(c) for c in cycles}
 
 
 # every path and cycle block at n <= 4 with k <= 10, and three of the larger Q5 blocks
@@ -427,8 +423,11 @@ _GROWN_BLOCKS = (
 @pytest.mark.parametrize("n,shape,size", _GROWN_BLOCKS, ids=[f"Q{n}-{s}{k}" for n, s, k in _GROWN_BLOCKS])
 def test_block_grown_from_seeds_matches_the_all_starts_dfs(n, shape, size):
     els = _enumerate_walks(n, size, shape == "cycle")
-    _assert_runs_are_the_orbits(*pool_block(n, shape, size), els, n)
+    masks, starts = pool_block(n, shape, size)
+    _assert_runs_are_the_orbits([(shape, mask) for mask in masks], starts, els, n)
     assert oracle._block_size(n, shape, size) == len(els)
+    # the vertex sets expand into exactly the DFS's elements, each once
+    assert sorted(v for mask in masks for v in oracle._elements_on(n, shape, mask)) == sorted(el.verts for el in els)
 
 
 def test_block_size_counts_large_pools_without_building_them(monkeypatch):
@@ -441,7 +440,7 @@ def test_block_size_counts_large_pools_without_building_them(monkeypatch):
 
 @pytest.mark.parametrize("n,shape,size", [(2, "star", 3), (3, "star", 4), (2, "path", 5), (3, "cycle", 10)])
 def test_blocks_too_large_for_the_cube_are_empty(n, shape, size):
-    assert pool_block(n, shape, size) == ((), (), ())
+    assert pool_block(n, shape, size) == ((), ())
     assert oracle._block_size(n, shape, size) == 0
 
 
@@ -473,7 +472,7 @@ _SEEDED_BLOCKS = (
 
 @pytest.mark.parametrize("n,shape,size", _SEEDED_BLOCKS, ids=[f"Q{n}-{s}{k}" for n, s, k in _SEEDED_BLOCKS])
 def test_seeds_answer_level_1_and_count_the_orbits_of_their_block(n, shape, size):
-    els, masks, _ = pool_block(n, shape, size)
+    masks, _ = pool_block(n, shape, size)
     stats = {"cut_tests": 0, "memo_hits": 0}
     single = oracle._single_cut(n, ((shape, size),), stats)
     assert (single is not None) == any(is_disconnecting_mask(n, m) for m in masks)
@@ -481,8 +480,9 @@ def test_seeds_answer_level_1_and_count_the_orbits_of_their_block(n, shape, size
         seed_masks = [sum(1 << v for v in seed) for seed in oracle._seeds(n, shape, size)]
         assert (stats["cut_tests"], stats["memo_hits"]) == (len(set(seed_masks)), len(seed_masks) - len(set(seed_masks)))
     else:
-        assert single in els
-        assert is_disconnecting_mask(n, sum(1 << v for v in single.verts))
+        assert _mask(single.verts) in masks
+        assert single.verts in oracle._elements_on(n, shape, _mask(single.verts))
+        assert is_disconnecting_mask(n, _mask(single.verts))
 
 
 @pytest.mark.parametrize("kind,mode", [(StructureKind("path", 8), "structure"), (StructureKind("cycle", 8), "substructure")])
@@ -513,11 +513,10 @@ def test_level_1_walks_at_most_492_seeds_at_every_kind_up_to_dimension_5():
 
 
 # (kind, mode) at n = 5, checked against the closed forms; P8 and C8 substructure are over the
-# copy ceiling, and Q5 P8 structure (2 by the path formula) is left out for time: its
-# 237,120-copy pool takes about 2.4 s to build
+# copy ceiling, and Q5 P8 structure builds the largest pool still searched, 119,320 vertex sets
 _Q5_FORMULA_CASES = (
     [(StructureKind("path", k), mode) for k in range(3, 17) for mode in ("structure", "substructure")
-     if k != 8]
+     if (k, mode) != (8, "substructure")]
     + [(StructureKind("cycle", k), mode) for k in range(4, 17, 2) for mode in ("structure", "substructure")
        if (k, mode) != (8, "substructure")]
     + [(StructureKind("cycle", 8), "structure")]
@@ -586,11 +585,40 @@ def test_enumerate_copies_returns_a_fresh_list():
 
 
 def test_cached_block_is_made_of_tuples():
-    block = pool_block(3, "path", 4)  # 48 copies in 2 orbits
+    block = pool_block(3, "path", 4)  # 48 copies on 30 vertex sets (6 faces carry 4 each) in 2 orbits
     assert isinstance(block, tuple)
     assert all(isinstance(part, tuple) for part in block)
-    els, masks, starts = block
-    assert (len(els), len(masks), len(starts), starts[0]) == (48, 48, 2, 0)
+    masks, starts = block
+    assert (len(masks), len(starts), starts[0]) == (30, 2, 0)
+    assert all(type(mask) is int for mask in masks)
+
+
+def _no_canonical_form(*args):
+    raise AssertionError("an automorphism image was put in canonical form")
+
+
+def test_blocks_are_built_without_canonical_forms(monkeypatch):
+    monkeypatch.setattr(oracle, "_canon", _no_canonical_form)
+    monkeypatch.setattr(oracle, "canonical_cycle_orientation", _no_canonical_form)
+    pool_block.cache_clear()
+    assert [len(pool_block(n, shape, k)[0]) for n, shape, k in ((4, "path", 8), (5, "cycle", 8))] == [2_672, 6_520]
+    # Q5 C8 misses at level 1, so the whole search, witness included, runs on vertex sets
+    result = min_structure_cut(5, StructureKind("cycle", 8))
+    assert (result.value, result.status) == (2, "exact")
+    assert validate_cut(result.witness).ok
+    pool_block.cache_clear()
+
+
+def test_a_block_missing_an_orbit_fails_its_completeness_check(monkeypatch):
+    masks, starts = pool_block(4, "path", 6)
+    dropped = set(masks[starts[-1]:])  # the last orbit
+    seeds = oracle._seeds
+    monkeypatch.setattr(oracle, "_seeds", lambda *args: (seed for seed in seeds(*args) if _mask(seed) not in dropped))
+    pool_block.cache_clear()
+    with pytest.raises(AssertionError, match=r"path\(6\) of Q_4 grew \d+ copies, not 2112"):
+        pool_block(4, "path", 6)
+    monkeypatch.undo()
+    assert pool_block(4, "path", 6) == (masks, starts)
 
 
 def test_each_cli_command_starts_from_an_empty_block_cache(monkeypatch, capsys):

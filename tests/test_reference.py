@@ -16,7 +16,7 @@ import pytest
 
 from hypercut.cli import main
 from hypercut.cuts import StructureKind
-from hypercut.oracle import SearchBudget, min_structure_cut, neighbor_count_maximum, pool_block
+from hypercut.oracle import SearchBudget, enumerate_copies, min_structure_cut, neighbor_count_maximum, pool_block
 from test_cli import _oracle_pin_commands
 
 MAX_K = 8
@@ -62,6 +62,10 @@ def _reference_stars(n, r):
     return {(c,) + leaves for c in g for leaves in combinations(sorted(g[c]), r)}
 
 
+def _mask(verts):
+    return sum(1 << v for v in verts)
+
+
 def _reference_is_cut(g, removed):
     """True iff removing the vertices leaves at most one vertex or a disconnected rest."""
     rest = g.subgraph(set(g) - removed)
@@ -74,15 +78,19 @@ def test_path_and_cycle_blocks_match_the_reference(n):
     paths, cycles = _reference_paths(n, kmax), _reference_cycles(n, kmax)
     for shape, pools in (("path", paths), ("cycle", cycles)):
         for k, reference in pools.items():
-            elements = pool_block(n, shape, k)[0]
+            # the block holds each vertex set once, and expands into each element once
+            assert Counter(pool_block(n, shape, k)[0]) == Counter({_mask(el) for el in reference}), (shape, n, k)
+            elements = enumerate_copies(n, StructureKind(shape, k))
             assert Counter(el.verts for el in elements) == Counter(reference), (shape, n, k)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_star_blocks_match_the_reference(n):
     for r in range(2, n + 1):
-        elements = pool_block(n, "star", r)[0]
-        assert Counter(el.verts for el in elements) == Counter(_reference_stars(n, r)), (n, r)
+        reference = _reference_stars(n, r)
+        assert Counter(pool_block(n, "star", r)[0]) == Counter({_mask(el) for el in reference}), (n, r)
+        elements = enumerate_copies(n, StructureKind("star", r))
+        assert Counter(el.verts for el in elements) == Counter(reference), (n, r)
 
 
 def _reference_pool(n, kind, k, mode):
