@@ -196,9 +196,9 @@ def _construction_row(shape: str, n: int, k: int) -> dict:
 
 def _oracle_value_row(
     scope: str, n: int, kind: StructureKind, mode: str, expected: int,
-    budget: SearchBudget, bound_only: bool = False,
+    bound_only: bool = False,
 ) -> dict:
-    result = min_structure_cut(n, kind, mode, budget)
+    result = min_structure_cut(n, kind, mode)
     if result.status != formulas.EXACT:
         return _row(scope, "oracle-vs-formula", "skipped",
                     f"search budget exhausted at size {result.value - 1}",
@@ -215,7 +215,7 @@ def _oracle_value_row(
 
 def _verify_paths(nmax: int) -> list[dict]:
     rows = [_oracle_value_row("paths", n, StructureKind("path", k), mode,
-                              formulas.kappa_path(n, k).value, SearchBudget())
+                              formulas.kappa_path(n, k).value)
             for n in range(3, min(nmax, 4) + 1)
             for k in range(3, (1 << (n - 1)) + 1)
             for mode in ("structure", "substructure")]
@@ -230,10 +230,10 @@ def _verify_cycles(nmax: int) -> list[dict]:
         for k in range(4, (1 << (n - 1)) + 1, 2):
             kind = StructureKind("cycle", k)
             sub = formulas.kappa_cycle(n, k, "substructure")
-            rows.append(_oracle_value_row("cycles", n, kind, "substructure", sub.value, SearchBudget()))
+            rows.append(_oracle_value_row("cycles", n, kind, "substructure", sub.value))
             struct = formulas.kappa_cycle(n, k, "structure")
             rows.append(_oracle_value_row("cycles", n, kind, "structure", struct.value,
-                                          SearchBudget(), bound_only=not struct.is_exact))
+                                          bound_only=not struct.is_exact))
     return rows + [_construction_row("cycle", n, k)
                    for n in range(5, nmax + 1)
                    for k in range(6, min(1 << (n - 2), 256) + 1, 2)]
@@ -241,7 +241,7 @@ def _verify_cycles(nmax: int) -> list[dict]:
 
 def _verify_power_of_two(nmax: int) -> list[dict]:
     rows = [_oracle_value_row("power-of-two", n, StructureKind("cycle", 1 << m), "structure",
-                              formulas.kappa_power_of_two_cycle(n, m).value, SearchBudget()) | {"m": m}
+                              formulas.kappa_power_of_two_cycle(n, m).value) | {"m": m}
             for n, m in ((4, 2), (5, 2), (5, 3))]
     # kappa_power_of_two_cycle itself raises where the general cycle value disagrees
     for n in range(4, nmax + 1):

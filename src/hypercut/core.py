@@ -103,28 +103,6 @@ class Automorphism:
             bits ^= low
         return w ^ self.mask
 
-    def apply_walk(self, walk) -> list[int]:
-        """Images of a walk's vertices, one XOR per step after the first.
-
-        Each step crosses one coordinate i, and its image crosses perm[i],
-        so only the first vertex goes through apply.
-        """
-        steps = [1 << p for p in self.perm]
-        it = iter(walk)
-        prev = next(it, None)
-        if prev is None:
-            return []
-        w = self.apply(prev)
-        out = [w]
-        for v in it:
-            d = prev ^ v
-            if d.bit_count() != 1:
-                raise ValueError(f"walk steps from {prev} to {v}, which are not adjacent")
-            w ^= steps[d.bit_length() - 1]
-            out.append(w)
-            prev = v
-        return out
-
     def vertex_table(self) -> tuple[int, ...]:
         """The induced vertex map as a lookup table over all 2^n labels."""
         return tuple(self.apply(v) for v in range(1 << self.n))

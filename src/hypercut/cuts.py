@@ -136,18 +136,17 @@ def _spine(start: int, stop: int) -> list[int]:
     return verts
 
 
-def _window_path(n: int, start: int, h: int, trailing: bool) -> CubePath:
+def _window(n: int, start: int, h: int, close: int | None) -> CubePath | CubeCycle:
     """Cover neighbors e_start .. e_{start+h-1} with bridges between them.
 
-    With trailing=True a final bridge e_{start+h-1} | e_t is appended,
-    where t = start + h, wrapping to coordinate 0 for the last window.
+    A close coordinate appends the bridge e_{start+h-1} | e_close: closing
+    on start itself makes a cycle (h >= 3), any other close a path with a
+    trailing bridge, and None leaves the bare path.
     """
     verts = _spine(start, start + h)
-    if trailing:
-        t = start + h
-        coord = 0 if t >= n else t
-        verts.append((1 << (start + h - 1)) | (1 << coord))
-    return CubePath(n, tuple(verts))
+    if close is not None:
+        verts.append((1 << (start + h - 1)) | (1 << close))
+    return (CubeCycle if close == start else CubePath)(n, tuple(verts))
 
 
 def _window_starts(n: int, h: int) -> list[int]:
@@ -195,20 +194,11 @@ def build_path_cut(n: int, k: int) -> CutFamily:
     elements: tuple[CutElement, ...]
     if (k % 2 == 1 and k >= 2 * n - 1) or (k % 2 == 0 and k >= 2 * n):
         elements = (_extended_path(n, k),)
-    elif k % 2 == 1:
-        h = (k + 1) // 2
-        elements = tuple(_window_path(n, s, h, trailing=False) for s in _window_starts(n, h))
     else:
-        h = k // 2
-        elements = tuple(_window_path(n, s, h, trailing=True) for s in _window_starts(n, h))
+        h = (k + 1) // 2  # k/2 for even k
+        # even k closes each window with a trailing bridge to e_{s+h}, wrapping to e_0 for the last one
+        elements = tuple(_window(n, s, h, None if k % 2 else (s + h) % n) for s in _window_starts(n, h))
     return CutFamily(n, StructureKind("path", k), STRUCTURE, elements)
-
-
-def _window_cycle(n: int, start: int, h: int) -> CubeCycle:
-    """Close a window of h >= 3 neighbors with a bridge back to the first one."""
-    verts = _spine(start, start + h)
-    verts.append((1 << (start + h - 1)) | (1 << start))
-    return CubeCycle(n, tuple(verts))
 
 
 def _long_cycle(n: int, k: int) -> CubeCycle:
@@ -255,7 +245,7 @@ def build_cycle_cut(n: int, k: int) -> CutFamily:
     h = k // 2
     elements: tuple[CutElement, ...]
     if h <= n:
-        elements = tuple(_window_cycle(n, s, h) for s in _window_starts(n, h))
+        elements = tuple(_window(n, s, h, s) for s in _window_starts(n, h))
     else:
         elements = (_long_cycle(n, k),)
     return CutFamily(n, StructureKind("cycle", k), STRUCTURE, elements)

@@ -8,9 +8,9 @@ coordinate, and odd paths between adjacent vertices are such a cycle minus
 one edge.  Returned cycles are canonicalized: smallest vertex first, then
 its smaller cycle neighbor.
 
-Builders emit only the vertices they return: Gray codewords are indexed
-(g(m) = m ^ (m >> 1)) and an automorphism is carried along a walk one XOR
-per step, so a k-vertex element costs O(k) big-int operations at any n.
+Builders emit only the vertices they return: each lists the coordinates
+its walk crosses, and an automorphism carries the walk one XOR per step,
+so a k-vertex element costs O(k) big-int operations at any n.
 """
 
 from __future__ import annotations
@@ -139,25 +139,42 @@ def canonical_cycle_orientation(verts: tuple[int, ...]) -> tuple[int, ...]:
     return min(fwd, bwd)
 
 
-def gray_walk_from_edge(n: int, edge: tuple[int, int], count: int) -> list[int]:
-    """The first count vertices of the Gray cycle of Q_n carried onto edge.
+def _gray_steps(count: int) -> list[int]:
+    """The coordinates crossed by the first count Gray codewords, m's lowest set bit at step m.
 
-    The Gray cycle starts with the edge (0, 1), and an edge-mapping
-    automorphism sigma carries it onto edge, so the walk starts
-    edge[0], edge[1].  Gray codeword m differs from codeword m - 1 in the
-    lowest set bit of m, and sigma(v ^ e_i) = sigma(v) ^ e_perm[i], so each
-    step is one XOR.
+    Reflected: the first 2^(j+1) cross the first 2^j's steps, then j, then those steps again.
     """
+    steps: list[int] = []
+    while len(steps) < count - 1:
+        steps = steps + [len(steps).bit_length()] + steps
+    return steps[:count - 1]
+
+
+def _fold_steps(n: int, l: int) -> list[int]:
+    """The coordinates crossed around embed_even_cycle(n, l) from 0: out, across n - 1, back, across again."""
+    half = _gray_steps(l // 2)
+    return half + [n - 1] + half[::-1] + [n - 1]
+
+
+def _carry(start: int, perm, coords) -> list[int]:
+    """The walk from start that crosses coordinate perm[i] for each i in coords, one XOR a step.
+
+    An automorphism sigma maps v ^ e_i to sigma(v) ^ e_perm[i], so this carries a walk by sigma.
+    """
+    bits = [1 << p for p in perm]
+    walk = [start]
+    for i in coords:
+        start ^= bits[i]
+        walk.append(start)
+    return walk
+
+
+def gray_walk_from_edge(n: int, edge: tuple[int, int], count: int) -> list[int]:
+    """The first count vertices of the Gray cycle of Q_n, which starts with the edge (0, 1), carried onto edge."""
     sigma = edge_mapping_automorphism(n, (0, 1), edge)
     if not 0 <= count <= 1 << n:
         raise ValueError(f"walk of {count} vertices does not fit in Q_{n}")
-    steps = [1 << p for p in sigma.perm]
-    w = sigma.mask
-    walk = [w] if count else []
-    for m in range(1, count):
-        w ^= steps[(m & -m).bit_length() - 1]
-        walk.append(w)
-    return walk
+    return _carry(sigma.mask, sigma.perm, _gray_steps(count)) if count else []
 
 
 def hamiltonian_through_edge(n: int, edge: tuple[int, int]) -> CubeCycle:
@@ -191,10 +208,8 @@ def embed_even_cycle(n: int, l: int) -> CubeCycle:
         raise ValueError(f"cycle length must be at least 4, got {l}")
     if l > 1 << n:
         raise ValueError(f"cycle length {l} exceeds 2^{n} vertices")
-    half = [m ^ (m >> 1) for m in range(l // 2)]
-    top = 1 << (n - 1)
-    # already canonical: it starts 0, 1 and ends with top, and 1 < top
-    cycle = CubeCycle(n, tuple(half) + tuple(g | top for g in reversed(half)))
+    # already canonical: it starts 0, 1 and ends with 2^(n-1), and 1 < 2^(n-1)
+    cycle = CubeCycle(n, tuple(_carry(0, range(n), _fold_steps(n, l)[:-1])))  # the closing step is implicit
     require_valid(cycle)
     return cycle
 
@@ -202,9 +217,10 @@ def embed_even_cycle(n: int, l: int) -> CubeCycle:
 def odd_path_between_adjacent(n: int, u: int, v: int, q: int) -> CubePath:
     """A path of odd length q from u to v, for adjacent u, v and 1 <= q <= 2^n - 1.
 
-    q = 1 is the bare edge; otherwise the even cycle of length q + 1, which
-    starts with the edge (0, 1), is walked the long way round from 0 to 1
-    and carried onto (u, v) by an edge-mapping automorphism.
+    q = 1 is the bare edge; otherwise the fold of embed_even_cycle(n, q + 1),
+    which starts with the edge (0, 1), is walked the long way round from 0
+    to 1, its steps reversed, and carried onto (u, v) by an edge-mapping
+    automorphism, with no cycle built.
     """
     Cube(n).check_vertex(u)
     Cube(n).check_vertex(v)
@@ -216,9 +232,8 @@ def odd_path_between_adjacent(n: int, u: int, v: int, q: int) -> CubePath:
         raise ValueError(f"path length {q} out of range [1, 2^{n} - 1]")
     if q == 1:
         return CubePath(n, (u, v))
-    base = embed_even_cycle(n, q + 1).verts
     sigma = edge_mapping_automorphism(n, (0, 1), (u, v))
-    path = CubePath(n, tuple(sigma.apply_walk(base[:1] + base[:0:-1])))
+    path = CubePath(n, tuple(_carry(u, sigma.perm, _fold_steps(n, q + 1)[:0:-1])))  # backwards, all but (0, 1)
     require_valid(path)
     return path
 

@@ -35,7 +35,7 @@ from typing import Iterator, Mapping
 from .analysis import coordinate_shift_masks, is_disconnecting_mask, neighborhood_vertex_mask
 from .core import automorphism_vertex_tables
 from .cuts import CutElement, CutFamily, StructureKind, STRUCTURE, admissible_shapes, at_most_power_of_two
-from .embeddings import CubeCycle, CubePath, CubeStar, canonical_cycle_orientation
+from .embeddings import CubeCycle, CubePath, CubeStar
 from .formulas import EXACT, LOWER_BOUND
 
 
@@ -93,23 +93,16 @@ class OracleResult:
 _ELEMENT = {"path": CubePath, "cycle": CubeCycle, "star": lambda n, verts: CubeStar(n, verts[0], verts[1:])}
 
 
-def _canon(shape: str, verts: tuple[int, ...]) -> tuple[int, ...]:
-    """The canonical vertex tuple of an element given by any of its labellings."""
-    if shape == "cycle":
-        return canonical_cycle_orientation(verts)
-    if shape == "star":
-        return verts[:1] + tuple(sorted(verts[1:]))
-    return verts[::-1] if verts[0] > verts[-1] else verts
-
-
 def _seeds(n: int, shape: str, size: int) -> Iterator[tuple[int, ...]]:
     """The orderly walks of one block at vertex 0, in DFS order; for stars, the one star there.
 
     Each step reuses a coordinate the walk has crossed or crosses the
     smallest one it has not, so every copy is an automorphic image of a
     seed.  A cycle seed ends next to 0 and never strays too far to get back.
-    The walks are generated as the DFS reaches them, so a caller that stops
-    early never pays for the rest of the block.
+    Each seed is its element's canonical tuple: it starts 0, 1, so a path
+    ends above 0 and a cycle closes on a weight-1 vertex of at least 2, and
+    a star's leaves ascend.  The walks are generated as the DFS reaches
+    them, so a caller that stops early never pays for the rest of the block.
     """
     if shape == "star":
         if size <= n:
@@ -240,9 +233,10 @@ def pool_block(n: int, shape: str, size: int) -> tuple[tuple[int, ...], tuple[in
     contiguous run, and starts holds where each run begins.  An
     automorphism carries the elements on a vertex set one to one onto those
     on its image, so the runs, each weighted by the elements on its first
-    mask, must count _block_size: a missing orbit raises AssertionError.
-    The orbits of a pool never cross its blocks.  The cache lives for one
-    command: cli.main clears it as it starts.
+    mask, must count _block_size: an orbit grown short raises AssertionError.
+    That count comes from the same seeds, whose own completeness the
+    reference tests check.  The orbits of a pool never cross its blocks.
+    The cache lives for one command: cli.main clears it as it starts.
     """
     perms = [table for table in automorphism_vertex_tables(n) if table[0] == 0]
     shifts = coordinate_shift_masks(n)
@@ -286,11 +280,11 @@ def _pool(n: int, kind: StructureKind, mode: str) -> tuple[list[str], list[int],
 
 
 # The most labelled copies a search may stand for, counted from the seeds before any block is
-# built: just above Q5 P8's 237,120.  A pool holds at most one vertex set per copy (Q5 P8 holds
-# 119,320), so the count bounds what is built from above.  Q4 P16 substructure stands for
-# 725,424 copies: built as labelled copies they took 15.7 s and 352 MB, and its 19,673 vertex
-# sets take about 1.3 s, most of it spent counting the paths on each run's first vertex set.
-_COPY_CEILING = 250_000
+# built: just above Q5 C8 substructure's 333,872, on 186,352 vertex sets (P8 substructure: 327,152
+# on 179,832).  A pool holds at most one vertex set per copy, so the count bounds what is built.
+# Q4 P16 substructure stands for 725,424 copies: as labelled copies they took 15.7 s and 352 MB;
+# its 19,673 vertex sets take about 1.3 s, most of it counting the paths on each run's first one.
+_COPY_CEILING = 340_000
 
 
 def _cut_test(n: int, mask: int, memo: dict[int, bool], stats: dict[str, int]) -> bool:
@@ -314,7 +308,7 @@ def _single_cut(n: int, shapes: tuple[tuple[str, int], ...], stats: dict[str, in
     for shape, size in shapes:
         for seed in _seeds(n, shape, size):
             if _cut_test(n, sum(1 << v for v in seed), memo, stats):
-                return _ELEMENT[shape](n, _canon(shape, seed))
+                return _ELEMENT[shape](n, seed)
     return None
 
 

@@ -234,6 +234,7 @@ def _refusing(message):
 
 
 def test_oracle_refuses_c8_substructure_at_n_5_before_building(capsys, monkeypatch):
+    monkeypatch.setattr(cli.oracle, "_COPY_CEILING", 250_000)  # a ceiling below this pool must refuse it unbuilt
     monkeypatch.setattr(cli.oracle, "pool_block", _refusing("a pool block was built before the search was refused"))
     code, out, err = run(capsys, "oracle", "--n", "5", "--kind", "cycle", "--k", "8", "--mode", "substructure")
     assert code == 3
@@ -242,6 +243,7 @@ def test_oracle_refuses_c8_substructure_at_n_5_before_building(capsys, monkeypat
 
 
 def test_oracle_refuses_pools_over_the_copy_ceiling_before_building(capsys, monkeypatch):
+    monkeypatch.setattr(cli.oracle, "_COPY_CEILING", 250_000)  # a ceiling below this pool must refuse it unbuilt
     monkeypatch.setattr(cli.oracle, "pool_block", _refusing("a pool block was built before the search was refused"))
     code, out, err = run(capsys, "oracle", "--n", "5", "--kind", "path", "--k", "8", "--mode", "substructure")
     assert code == 3

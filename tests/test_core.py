@@ -12,7 +12,7 @@ from hypercut.core import (
     vertex_from_string,
     vertex_to_string,
 )
-from hypercut.embeddings import gray_sequence
+from hypercut.embeddings import embed_even_cycle, gray_sequence, odd_path_between_adjacent
 
 
 def test_neighbor_flips_single_bit():
@@ -120,32 +120,20 @@ def test_sampled_automorphisms_map_every_edge_to_an_edge():
                 assert adjacent(table[u], table[v])
 
 
-def _permute_bits(n, perm, mask, v):
-    """sigma(v) written bit by bit from the definition: coordinate i goes to perm[i]."""
-    return sum(((v >> i) & 1) << perm[i] for i in range(n)) ^ mask
-
-
-@given(st.integers(1, 9), st.data())
-def test_apply_walk_matches_per_vertex_apply(n, data):
-    perm = tuple(data.draw(st.permutations(range(n))))
-    sigma = Automorphism(n, perm, data.draw(st.integers(0, (1 << n) - 1)))
-    v = data.draw(st.integers(0, (1 << n) - 1))
-    walk = [v]
-    for i in data.draw(st.lists(st.integers(0, n - 1), max_size=40)):
-        v ^= 1 << i
-        walk.append(v)
-    images = sigma.apply_walk(walk)
-    assert images == [sigma.apply(w) for w in walk]
-    assert images == [_permute_bits(n, perm, sigma.mask, w) for w in walk]
-
-
-def test_apply_walk_rejects_non_adjacent_steps():
-    sigma = Automorphism(3, (2, 0, 1), 5)
-    assert sigma.apply_walk([]) == []
-    with pytest.raises(ValueError):
-        sigma.apply_walk([0, 3])
-    with pytest.raises(ValueError):
-        sigma.apply_walk([0, 1, 1])
+def test_odd_path_is_the_even_cycle_walked_the_long_way_and_mapped_vertex_by_vertex():
+    # the reference folds Gray codewords into the whole cycle, walks it from 0 the long way round
+    # to 1, and maps each vertex through apply; the builder carries the fold's steps instead
+    for n in range(2, 5):
+        for edge in Cube(n).edges():
+            for u, v in (edge, edge[::-1]):
+                sigma = edge_mapping_automorphism(n, (0, 1), (u, v))
+                assert odd_path_between_adjacent(n, u, v, 1).verts == (u, v)
+                for q in range(3, 1 << n, 2):
+                    half = gray_sequence(n - 1)[: (q + 1) // 2]
+                    cycle = half + [g | (1 << (n - 1)) for g in reversed(half)]
+                    assert embed_even_cycle(n, q + 1).verts == tuple(cycle)
+                    long_way = cycle[:1] + cycle[:0:-1]
+                    assert odd_path_between_adjacent(n, u, v, q).verts == tuple(sigma.apply(w) for w in long_way)
 
 
 def test_automorphism_group_size_n3():

@@ -6,7 +6,7 @@ from math import factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercut import cli, formulas, oracle
+from hypercut import cli, embeddings, formulas, oracle
 from hypercut.analysis import is_disconnecting_mask, path_neighbor_bound, validate_cut
 from hypercut.core import Automorphism, adjacent, automorphism_vertex_tables
 from hypercut.cuts import StructureKind, admissible_shapes, build_path_cut
@@ -213,13 +213,15 @@ def _no_block(*args):
 
 def test_dimension_5_sanctions_blocks_not_kinds(monkeypatch):
     # no kind is refused at n = 5 for what it is: the copy ceiling weighs the blocks its pool needs,
-    # so C8 substructure (P1..P8 and C8, 333,872 copies) is refused, and P5 substructure and stars are searched
+    # so under a ceiling of 250,000 C8 substructure (P1..P8 and C8, 333,872 copies) is refused,
+    # and P5 substructure and stars are searched
     big5 = SearchBudget(max_dimension=5)
     for kind, mode, value in ((StructureKind("path", 5), "substructure", 2),
                               (StructureKind("star", 2), "structure", 3),
                               (StructureKind("star", 2), "substructure", 3)):
         result = min_structure_cut(5, kind, mode, big5)
         assert (result.value, result.status) == (value, "exact"), (kind, mode)
+    monkeypatch.setattr(oracle, "_COPY_CEILING", 250_000)
     monkeypatch.setattr(oracle, "pool_block", _no_block)
     with pytest.raises(BudgetError, match=r"substructure C8 pool of Q_5 holds 333872 copies"):
         min_structure_cut(5, StructureKind("cycle", 8), "substructure", big5)
@@ -445,6 +447,8 @@ def test_blocks_too_large_for_the_cube_are_empty(n, shape, size):
 
 
 def test_copy_ceiling_refuses_large_pools_before_building(monkeypatch):
+    # the ceiling lies above Q5 P8 and C8 substructure's pools, so a lower one must refuse them unbuilt
+    monkeypatch.setattr(oracle, "_COPY_CEILING", 250_000)
     monkeypatch.setattr(oracle, "pool_block", _no_block)
     big5 = SearchBudget(max_dimension=5)
     for kind in (StructureKind("path", 8), StructureKind("cycle", 8)):  # level 1 misses, so the pool is weighed
@@ -456,7 +460,7 @@ def test_copy_ceiling_refuses_large_pools_before_building(monkeypatch):
     # Q4 P16 substructure would hold 725,424 copies, but one element cuts, so none is built
     for kind in (StructureKind("path", 12), StructureKind("path", 16), StructureKind("cycle", 12)):
         assert min_structure_cut(4, kind, "substructure").value == 1
-    # Q5 P8, 237,120 copies, is the largest pool still searched
+    # Q5 P8, 237,120 copies, is searched even under the lower ceiling
     assert oracle._block_size(5, "path", 8) <= oracle._COPY_CEILING
 
 
@@ -512,14 +516,11 @@ def test_level_1_walks_at_most_492_seeds_at_every_kind_up_to_dimension_5():
     assert max(walked.values()) == walked[5, "P14", "structure"] == 492
 
 
-# (kind, mode) at n = 5, checked against the closed forms; P8 and C8 substructure are over the
-# copy ceiling, and Q5 P8 structure builds the largest pool still searched, 119,320 vertex sets
+# (kind, mode) at n = 5, checked against the closed forms; C8 substructure builds the largest
+# pool searched, 186,352 vertex sets, and P8 substructure the next, 179,832
 _Q5_FORMULA_CASES = (
-    [(StructureKind("path", k), mode) for k in range(3, 17) for mode in ("structure", "substructure")
-     if (k, mode) != (8, "substructure")]
-    + [(StructureKind("cycle", k), mode) for k in range(4, 17, 2) for mode in ("structure", "substructure")
-       if (k, mode) != (8, "substructure")]
-    + [(StructureKind("cycle", 8), "structure")]
+    [(StructureKind("path", k), mode) for k in range(3, 17) for mode in ("structure", "substructure")]
+    + [(StructureKind("cycle", k), mode) for k in range(4, 17, 2) for mode in ("structure", "substructure")]
     + [(StructureKind(name, size), mode) for name, size in (("star", 2), ("star", 3), ("vertex", 1), ("edge", 2))
        for mode in ("structure", "substructure")]
 )
@@ -598,8 +599,8 @@ def _no_canonical_form(*args):
 
 
 def test_blocks_are_built_without_canonical_forms(monkeypatch):
-    monkeypatch.setattr(oracle, "_canon", _no_canonical_form)
-    monkeypatch.setattr(oracle, "canonical_cycle_orientation", _no_canonical_form)
+    assert not hasattr(oracle, "canonical_cycle_orientation")  # so the patch below reaches every caller
+    monkeypatch.setattr(embeddings, "canonical_cycle_orientation", _no_canonical_form)
     pool_block.cache_clear()
     assert [len(pool_block(n, shape, k)[0]) for n, shape, k in ((4, "path", 8), (5, "cycle", 8))] == [2_672, 6_520]
     # Q5 C8 misses at level 1, so the whole search, witness included, runs on vertex sets
@@ -609,16 +610,32 @@ def test_blocks_are_built_without_canonical_forms(monkeypatch):
     pool_block.cache_clear()
 
 
+def _identity_only(n):
+    return (tuple(range(1 << n)),)
+
+
 def test_a_block_missing_an_orbit_fails_its_completeness_check(monkeypatch):
-    masks, starts = pool_block(4, "path", 6)
-    dropped = set(masks[starts[-1]:])  # the last orbit
-    seeds = oracle._seeds
-    monkeypatch.setattr(oracle, "_seeds", lambda *args: (seed for seed in seeds(*args) if _mask(seed) not in dropped))
-    pool_block.cache_clear()
-    with pytest.raises(AssertionError, match=r"path\(6\) of Q_4 grew \d+ copies, not 2112"):
-        pool_block(4, "path", 6)
-    monkeypatch.undo()
-    assert pool_block(4, "path", 6) == (masks, starts)
+    # with the identity as the only permutation, each run holds just the translates of its seed's
+    # mask, so the block misses the rest of each orbit; the count comes from the seeds alone
+    for n, shape, size in ((4, "path", 6), (4, "path", 4), (4, "cycle", 6), (4, "star", 3)):
+        block = pool_block(n, shape, size)
+        monkeypatch.setattr(oracle, "automorphism_vertex_tables", _identity_only)
+        pool_block.cache_clear()
+        oracle._block_size.cache_clear()
+        want = oracle._block_size(n, shape, size)
+        with pytest.raises(AssertionError, match=rf"{shape}\({size}\) of Q_{n} grew \d+ copies, not {want}$"):
+            pool_block(n, shape, size)
+        monkeypatch.undo()
+        pool_block.cache_clear()
+        assert pool_block(n, shape, size) == block
+
+
+def test_every_seed_is_an_element_on_its_own_mask():
+    # the seeds are already canonical, so level 1 builds its witness straight from the seed
+    for n, shape, size in _SEEDED_BLOCKS:
+        if n <= 4:
+            for seed in oracle._seeds(n, shape, size):
+                assert seed in oracle._elements_on(n, shape, _mask(seed)), (n, shape, size, seed)
 
 
 def test_each_cli_command_starts_from_an_empty_block_cache(monkeypatch, capsys):
