@@ -4,8 +4,8 @@ Both builders cover every neighbor e_j = (v)^j of v = 00..0 with paths or
 cycles that thread weight-2 bridge vertices e_j | e_{j+1} between
 consecutive neighbors, so v is isolated once the family is removed.  Long
 elements (more vertices than 2n - 1) extend into the subcube x^{n-1} = 1
-along a Hamiltonian cycle, or close through an odd path inside the
-subcube x^{n-2} = 0, x^{n-1} = 1.
+along a Gray walk, or close through an odd path inside the subcube
+x^{n-2} = 0, x^{n-1} = 1, carried step by step into one tuple, checked once.
 """
 
 from __future__ import annotations
@@ -17,11 +17,13 @@ from .embeddings import (
     CubeCycle,
     CubePath,
     CubeStar,
+    _carry,
+    _fold_steps,
     gray_walk_from_edge,
     hamiltonian_through_edge,  # re-exported: perfbench/tracing.py wraps cuts.hamiltonian_through_edge
-    odd_path_between_adjacent,
+    odd_path_between_adjacent,  # re-exported, unused here, for the same wrapper
     require_valid,
-    restrict_to_subcube,
+    restrict_to_subcube,  # re-exported, unused here, for the same wrapper
 )
 
 
@@ -159,16 +161,15 @@ def _extended_path(n: int, k: int) -> CubePath:
     """One path on k >= 2n - 1 vertices covering all neighbors of the zero vertex.
 
     The spine already ends with the edge (e_{n-2}|e_{n-1}, e_{n-1}), whose
-    endpoints lie in the subcube x^{n-1} = 1.  A Hamiltonian cycle of that
-    subcube through this edge supplies the k - (2n - 1) extension vertices,
-    taken in the direction leading away from e_{n-2}|e_{n-1}; only those
-    vertices and the edge are walked.
+    endpoints lie in the subcube x^{n-1} = 1.  The Gray walk of Q_n carried
+    onto that edge supplies the k - (2n - 1) extension vertices, leading
+    away from e_{n-2}|e_{n-1}; its k - 2n + 3 <= 2^(n-1) vertices cross no
+    coordinate past n - 2, so it stays in the subcube with no lift.
     """
     verts = _spine(0, n)
     extension = k - (2 * n - 1)
     if extension:
-        inner = CubePath(n - 1, tuple(gray_walk_from_edge(n - 1, (1 << (n - 2), 0), extension + 2)))
-        verts.extend(restrict_to_subcube({n - 1: 1}, inner).verts[2:])
+        verts.extend(gray_walk_from_edge(n, (3 << (n - 2), 1 << (n - 1)), extension + 2)[2:])
     path = CubePath(n, tuple(verts))
     require_valid(path)
     return path
@@ -204,17 +205,14 @@ def build_path_cut(n: int, k: int) -> CutFamily:
 def _long_cycle(n: int, k: int) -> CubeCycle:
     """One cycle of length k >= 2n + 2 through all neighbors of the zero vertex.
 
-    The spine runs e_0 .. e_{n-1}; an odd path of length k - (2n - 1) from
-    e_{n-1} to e_0|e_{n-1} inside the subcube x^{n-2} = 0, x^{n-1} = 1
-    closes it back to e_0.
+    The spine runs e_0 .. e_{n-1}; an odd path of length q = k - (2n - 1)
+    from e_{n-1} to e_0|e_{n-1} inside the subcube x^{n-2} = 0, x^{n-1} = 1
+    closes it back to e_0.  It is odd_path_between_adjacent(n - 2, 0, 1, q)
+    lifted by e_{n-1}, carried straight from the fold's steps into the cycle.
     """
     verts = _spine(0, n)
     q = k - (2 * n - 1)
-    inner = odd_path_between_adjacent(n - 2, 0, 1, q)
-    lifted = restrict_to_subcube({n - 2: 0, n - 1: 1}, inner)
-    assert lifted.verts[0] == 1 << (n - 1)
-    assert lifted.verts[-1] == 1 | (1 << (n - 1))
-    verts.extend(lifted.verts[1:])
+    verts.extend(_carry(1 << (n - 1), range(n - 2), _fold_steps(n - 2, q + 1)[:0:-1])[1:])
     cycle = CubeCycle(n, tuple(verts))
     require_valid(cycle)
     return cycle

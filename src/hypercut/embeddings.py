@@ -10,14 +10,15 @@ its smaller cycle neighbor.
 
 Builders emit only the vertices they return: each lists the coordinates
 its walk crosses, and an automorphism carries the walk one XOR per step,
-so a k-vertex element costs O(k) big-int operations at any n.
+so a k-vertex element costs O(k) big-int operations at any n.  An
+element checks its invariants once, in C-level loops, and keeps the answer.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 from typing import ClassVar
 
 from .core import Cube, adjacent, edge_mapping_automorphism
@@ -39,12 +40,24 @@ class _Embedded:
     n: int
     verts: tuple[int, ...]
 
-    def _violation(self, edges) -> str | None:
-        """The shared checks: labels in range, distinct, and every given pair adjacent.
+    def violation(self) -> str | None:
+        """None if the invariants hold, else the first failure.
+
+        Checked once per object: elements are frozen and hold tuples, so the
+        answer is kept in the instance __dict__, which == and hash never read.
+        """
+        if "_reason" not in self.__dict__:
+            self.__dict__["_reason"] = self._check()
+        return self.__dict__["_reason"]
+
+    def _violation(self, pairs) -> str | None:
+        """The shared checks: labels in range, distinct, and every pair from pairs() adjacent.
 
         Range and distinctness are read off the sorted labels: a sorted list
         takes 8 bytes a label, a set of them 32 to 48 while it grows, and the
-        long elements of a cut at n = 18 have over 10^5 labels.
+        long elements of a cut at n = 18 have over 10^5 labels.  Adjacency is
+        one C-level pass over the two iterables pairs() returns; only when it
+        fails does a Python loop walk fresh ones to name the first bad pair.
         """
         ordered = sorted(self.verts)
         for v in ordered[:1] + ordered[-1:]:
@@ -52,10 +65,9 @@ class _Embedded:
                 return f"label {v} out of range for dimension {self.n}"
         if not all(map(operator.lt, ordered, islice(ordered, 1, None))):
             return "vertices are not distinct"
-        for a, b in edges:
-            if (a ^ b).bit_count() != 1:
-                return f"vertices {a} and {b} are not adjacent"
-        return None
+        if all(map((1).__eq__, map(int.bit_count, map(operator.xor, *pairs())))):
+            return None
+        return next(f"vertices {a} and {b} are not adjacent" for a, b in zip(*pairs()) if (a ^ b).bit_count() != 1)
 
     @property
     def size(self) -> int:
@@ -73,11 +85,10 @@ class CubePath(_Embedded):
     n: int
     verts: tuple[int, ...]
 
-    def violation(self) -> str | None:
-        """None if the path invariants hold, else the first failure."""
+    def _check(self) -> str | None:
         if not self.verts:
             return "path has no vertices"
-        return self._violation(zip(self.verts, islice(self.verts, 1, None)))
+        return self._violation(lambda: (self.verts, islice(self.verts, 1, None)))
 
 
 @dataclass(frozen=True)
@@ -91,13 +102,13 @@ class CubeCycle(_Embedded):
     n: int
     verts: tuple[int, ...]
 
-    def violation(self) -> str | None:
+    def _check(self) -> str | None:
         if len(self.verts) < 4:
             return "cycle needs at least 4 vertices"
         if len(self.verts) % 2:
             return "odd cycle cannot embed in a bipartite graph"
         # consecutive pairs and the closing pair, without copying a long tuple
-        return self._violation(zip(self.verts, chain(islice(self.verts, 1, None), self.verts[:1])))
+        return self._violation(lambda: (self.verts, chain(islice(self.verts, 1, None), self.verts[:1])))
 
 
 @dataclass(frozen=True)
@@ -109,12 +120,12 @@ class CubeStar(_Embedded):
     center: int
     leaves: tuple[int, ...]
 
-    def violation(self) -> str | None:
+    def _check(self) -> str | None:
         if len(self.leaves) < 2:
             return "a star needs at least 2 leaves (smaller stars are paths)"
         if tuple(sorted(self.leaves)) != self.leaves:
             return "leaves must be sorted"
-        return self._violation((self.center, leaf) for leaf in self.leaves)
+        return self._violation(lambda: (repeat(self.center), self.leaves))
 
     @property
     def size(self) -> int:

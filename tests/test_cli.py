@@ -569,3 +569,26 @@ def test_verify_all_stdout_is_byte_stable(capsys, case):
     code, out, _ = run(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == expected
+
+
+def test_verify_checks_each_built_element_once(capsys, monkeypatch):
+    # a long element's builder check and validate_cut's share one pass, so each built element is checked once
+    from hypercut import embeddings
+
+    checked, built = [], []
+    check = embeddings._Embedded._violation
+    monkeypatch.setattr(embeddings._Embedded, "_violation", lambda el, pairs: checked.append(el) or check(el, pairs))
+
+    def counting(build):
+        def wrapper(n, k):
+            family = build(n, k)
+            built.extend(family.elements)
+            return family
+        return wrapper
+
+    monkeypatch.setattr(cli, "build_path_cut", counting(cli.build_path_cut))
+    monkeypatch.setattr(cli, "build_cycle_cut", counting(cli.build_cycle_cut))
+    code, _, _ = run(capsys, "verify", "--scope", "paths", "--nmax", "11", "--jobs", "1")
+    assert code == 0
+    assert len(checked) == len(built) == 1146
+    assert {id(el) for el in checked} == {id(el) for el in built}

@@ -170,6 +170,31 @@ def test_cycle_cut_long_cycle_case():
     assert validate_cut(family).ok
 
 
+def test_long_element_builders_check_what_they_build(monkeypatch):
+    # each long element is checked once, by its builder: one wrong step must raise there
+    from hypercut import cuts
+
+    walk, steps = cuts.gray_walk_from_edge, cuts._fold_steps
+
+    def walk_leaving_the_subcube(n, edge, count):
+        out = walk(n, edge, count)
+        out[-1] ^= 1 << (n - 1)
+        return out
+
+    def steps_with_one_wrong(m, l):
+        out = steps(m, l)
+        out[len(out) // 2] = (out[len(out) // 2] + 1) % m
+        return out
+
+    monkeypatch.setattr(cuts, "gray_walk_from_edge", walk_leaving_the_subcube)
+    monkeypatch.setattr(cuts, "_fold_steps", steps_with_one_wrong)
+    for n in (6, 9):
+        with pytest.raises(AssertionError, match="violates its invariants"):
+            build_path_cut(n, 2 * n + 3)
+        with pytest.raises(AssertionError, match="violates its invariants"):
+            build_cycle_cut(n, 1 << (n - 2))
+
+
 def test_cycle_cut_cardinality_and_shape():
     for n in range(5, 10):
         nbrs = set(Cube(n).neighbors(0))

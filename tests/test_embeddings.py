@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +8,7 @@ from hypercut.core import edge_mapping_automorphism
 from hypercut.embeddings import (
     CubeCycle,
     CubePath,
+    CubeStar,
     embed_even_cycle,
     gray_sequence,
     gray_walk_from_edge,
@@ -286,3 +288,13 @@ def test_path_violations_reported():
     assert CubePath(3, (0, 1, 0)).violation() is not None
     assert CubePath(2, (0, 4)).violation() is not None
     assert CubePath(3, (0, 1, 3)).violation() is None
+    # a failed adjacency pass names the first bad pair, closing and star pairs included
+    assert CubePath(3, (0, 1, 7, 6, 5)).violation() == "vertices 1 and 7 are not adjacent"
+    assert CubeCycle(3, (0, 1, 3, 7)).violation() == "vertices 7 and 0 are not adjacent"
+    assert CubeStar(3, 0, (1, 2, 3)).violation() == "vertices 0 and 3 are not adjacent"
+    # the answer is kept per object; it changes neither equality nor hash
+    for el in (CubePath(3, (0, 1, 7, 6, 5)), CubeCycle(3, (0, 1, 3, 2)), CubeStar(3, 0, (1, 2, 4))):
+        twin, digest = replace(el), hash(el)
+        first = el.violation()
+        assert el.violation() == first == twin.violation()
+        assert el == twin and hash(el) == hash(twin) == digest
