@@ -1,12 +1,13 @@
-"""Complement connectivity, cut validation, neighborhood bounds, and
-brute-force extra connectivity.
+"""Complement connectivity, cut validation, the exhaustive family sweep,
+neighborhood bounds, and brute-force extra connectivity.
 
 Vertex sets live in single integers (bit v set = vertex v present).  A
 component grows by passes over the n coordinates, one shift-and-mask
 operation per coordinate, however many vertices move; a pass reaches at
 least as far as a BFS level, and most cut tests settle in two passes.
 That keeps exhaustive sweeps over Q_11 complements and over the C(15, s - 1)
-removal sets of Q_4 that hold vertex 0 cheap.
+removal sets of Q_4 that hold vertex 0 cheap.  One sweep serves every
+exhaustive search: the oracle's levels and g-extra connectivity.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .core import Cube
 from .cuts import CutFamily, admissible_shapes
@@ -162,13 +163,38 @@ def path_neighbor_bound(k: int) -> int:
     return 2 * (k // 3) + k % 3
 
 
+def sweep(masks: list[int], starts: list[int], s: int, is_cut: Callable[[int], bool]) -> tuple[int, ...] | None:
+    """The first family of size s whose union is_cut accepts, as indices into masks; None after the last.
+
+    A family is a start r plus s - 1 indices after r, and its union is the
+    OR of their masks.  Families are tried start by start, in the order
+    given, and for each start in lexicographic order of the rest.  The
+    sweep is exhaustive when some group acts on the masks and preserves
+    is_cut of every union, masks holds each of its orbits as one contiguous
+    run, and starts holds where each run begins.  Take any accepted family:
+    a group element carries its earliest member onto the start of that
+    member's run, and its other members, which lie in that run or later
+    ones, onto masks of those same runs other than the start.  So the image
+    is a family the sweep tries, and it is accepted too.
+    """
+    for r in starts:
+        for rest in combinations(range(r + 1, len(masks)), s - 1):
+            union = masks[r]
+            for j in rest:
+                union |= masks[j]
+            if is_cut(union):
+                return (r,) + rest
+    return None
+
+
 def g_extra_connectivity(n: int, g: int) -> int:
     """Brute-force minimum removal that disconnects Q_n into components of size >= g + 1.
 
-    Cardinality-ordered enumeration of the removal sets that contain vertex
-    0, with early exit.  That is exact: the translation x -> x ^ f, for any
-    f in a separating set F, is an automorphism that carries F onto a set
-    holding 0 and keeps every component size.  Only sane up to the
+    The sweep over the 2^n one-vertex masks with the single start 0, one
+    removal size after another, so only removal sets that hold vertex 0 are
+    tried, smallest first.  That is exact: the translations x -> x ^ f are
+    a group that keeps every component size and moves vertex 0 onto every
+    vertex, so the masks are one run that begins at 0.  Only sane up to the
     exhaustive ceiling (C(15, 5) candidates at n = 4 are trivial, n = 5
     would not be).
     """
@@ -176,12 +202,14 @@ def g_extra_connectivity(n: int, g: int) -> int:
         raise ValueError(f"dimension {n} above exhaustive ceiling 4")
     if not 0 <= g <= n:
         raise ValueError(f"g must be in [0, {n}], got {g}")
-    size = 1 << n
-    for s in range(1, size):
-        for rest in combinations(range(1, size), s - 1):
-            comps = component_masks(n, 1 | sum(1 << v for v in rest))
-            if len(comps) >= 2 and min(c.bit_count() for c in comps) >= g + 1:
-                return s
+
+    def separates(removed: int) -> bool:
+        comps = component_masks(n, removed)
+        return len(comps) >= 2 and min(c.bit_count() for c in comps) >= g + 1
+
+    for s in range(1, 1 << n):
+        if sweep([1 << v for v in range(1 << n)], [0], s, separates) is not None:
+            return s
     raise ValueError(f"no removal of Q_{n} satisfies the g = {g} condition")
 
 

@@ -162,13 +162,13 @@ def cmd_construct(args: argparse.Namespace) -> int:
         raise ValueError(f"k = {args.k} at n = {args.n} prints {chars} label characters,"
                          f" over the construct cap MAX_CONSTRUCT_CHARS = {MAX_CONSTRUCT_CHARS}")
     family = build(args.n, args.k)
+    verdict = validate_cut(family)
     if args.format == "dot":
         _emit(render_dot(args.n, family.vertex_union()), args.out)
-        return EXIT_OK
-    verdict = validate_cut(family)
-    _emit_json("construct", {"n": args.n, "kind": args.kind, "k": args.k}, args.out,
-               family=_family_payload(family), verdict=verdict.status,
-               isolated_vertex=vertex_to_string(0, args.n))  # every built family isolates 00..0
+    else:
+        _emit_json("construct", {"n": args.n, "kind": args.kind, "k": args.k}, args.out,
+                   family=_family_payload(family), verdict=verdict.status,
+                   isolated_vertex=vertex_to_string(0, args.n))  # every built family isolates 00..0
     return EXIT_OK if verdict.ok else EXIT_MISMATCH
 
 

@@ -21,8 +21,8 @@ def adjacent(u: int, v: int) -> bool:
 
 
 def vertex_to_string(v: int, n: int) -> str:
-    """Render a label as the coordinate string x^0 x^1 ... x^{n-1}."""
-    return "".join("1" if (v >> i) & 1 else "0" for i in range(n))
+    """Render a label as the coordinate string x^0 x^1 ... x^{n-1}: its low n bits, lowest first."""
+    return format(v, f"0{n}b")[:-n - 1:-1]
 
 
 def vertex_from_string(s: str) -> int:

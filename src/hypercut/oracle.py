@@ -13,11 +13,9 @@ one vertex set (dropping one keeps the union).  An element is built from
 its vertex set only when it joins a witness.  Each stage has one budget
 rule: the dimension limit bounds level 1, the copy ceiling the pool, and
 the combination ceiling each sweep.  The pool holds each orbit as one
-run, in seed order, and the first element of a family is restricted to
-the first vertex set of a run, which is sound: the group acts on vertex
-sets, any cut can be carried by an automorphism onto one whose
-earliest-orbit element is that orbit's first, and every orbit is kept,
-so the remaining elements only need to range over later vertex sets.
+run, in seed order, with the run starts, and the automorphisms keep "is a
+cut", so analysis.sweep, which takes each family's first element from the
+run starts alone, is exhaustive (its docstring gives the argument).
 Before each exhaustive pass, a cheap seeded pass hunts for cuts that
 isolate a fixed vertex or edge, since every known minimum cut here does
 exactly that.
@@ -28,14 +26,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations
-from typing import Iterator, Mapping
+from functools import lru_cache, partial
+from typing import Callable, Iterator, Mapping
 
-from .analysis import coordinate_shift_masks, is_disconnecting_mask, neighborhood_vertex_mask
+from .analysis import coordinate_shift_masks, is_disconnecting_mask, neighborhood_vertex_mask, sweep
 from .core import automorphism_vertex_tables
 from .cuts import CutElement, CutFamily, StructureKind, STRUCTURE, admissible_shapes, at_most_power_of_two
-from .embeddings import CubeCycle, CubePath, CubeStar
+from .embeddings import CubeCycle, CubePath, CubeStar, _gray_steps
 from .formulas import EXACT, LOWER_BOUND
 
 
@@ -229,18 +226,20 @@ def pool_block(n: int, shape: str, size: int) -> tuple[tuple[int, ...], tuple[in
     Each seed whose mask is not yet seen opens a run: its images under the
     coordinate permutations (the automorphisms fixing 0) are each carried
     through the 2^n translations in reflected Gray order, one coordinate
-    swap a step, and every new mask is kept.  So each orbit is one
-    contiguous run, and starts holds where each run begins.  An
-    automorphism carries the elements on a vertex set one to one onto those
-    on its image, so the runs, each weighted by the elements on its first
-    mask, must count _block_size: an orbit grown short raises AssertionError.
-    That count comes from the same seeds, whose own completeness the
-    reference tests check.  The orbits of a pool never cross its blocks.
+    swap a step, crossing the coordinates embeddings._gray_steps lists (the
+    one statement of the Gray step rule), and every new mask is kept.  So
+    each orbit is one contiguous run, and starts holds where each run
+    begins.  An automorphism carries the elements on a vertex set one to one
+    onto those on its image, so the runs, each weighted by the elements on
+    its first mask, must count _block_size: an orbit grown short raises
+    AssertionError.  That count comes from the same seeds, whose own
+    completeness the reference tests check.  The orbits of a pool never
+    cross its blocks.
     The cache lives for one command: cli.main clears it as it starts.
     """
     perms = [table for table in automorphism_vertex_tables(n) if table[0] == 0]
     shifts = coordinate_shift_masks(n)
-    gray = [shifts[(i & -i).bit_length() - 1] for i in range(1, 1 << n)]  # step i crosses the lowest set bit of i
+    gray = [shifts[i] for i in _gray_steps(1 << n)]
     keys: dict[int, None] = {}  # masks, in insertion order
     starts = []
     for seed in _seeds(n, shape, size):
@@ -287,7 +286,9 @@ def _pool(n: int, kind: StructureKind, mode: str) -> tuple[list[str], list[int],
 _COPY_CEILING = 340_000
 
 
-def _cut_test(n: int, mask: int, memo: dict[int, bool], stats: dict[str, int]) -> bool:
+# mask comes last, so each level binds partial(_cut_test, n, memo, stats) positionally: bound by keyword,
+# each call would copy the keywords, which cost oracle-sweep a tenth of its time
+def _cut_test(n: int, memo: dict[int, bool], stats: dict[str, int], mask: int) -> bool:
     cached = memo.get(mask)
     if cached is not None:
         stats["memo_hits"] += 1
@@ -304,10 +305,10 @@ def _single_cut(n: int, shapes: tuple[tuple[str, int], ...], stats: dict[str, in
     Every copy is an automorphic image of a seed, so the seeds answer for
     their whole blocks.  Masks shared by several seeds are tested once.
     """
-    memo: dict[int, bool] = {}
+    is_cut = partial(_cut_test, n, {}, stats)
     for shape, size in shapes:
         for seed in _seeds(n, shape, size):
-            if _cut_test(n, sum(1 << v for v in seed), memo, stats):
+            if is_cut(sum(1 << v for v in seed)):
                 return _ELEMENT[shape](n, seed)
     return None
 
@@ -333,9 +334,9 @@ def _seed_candidates(n: int, masks: list[int]) -> _Candidates:
 
 
 def _seed_level(
-    n: int, masks: list[int], candidates: _Candidates, s: int, memo: dict[int, bool], stats: dict[str, int]
+    masks: list[int], candidates: _Candidates, s: int, is_cut: Callable[[int], bool]
 ) -> tuple[int, ...] | None:
-    """Hunt for a size-s cut covering a fixed vertex/edge neighborhood.
+    """Hunt for a size-s cut covering a fixed vertex/edge neighborhood, judged by is_cut.
 
     Finding-only: a miss here proves nothing, the exhaustive pass follows.
     """
@@ -344,7 +345,7 @@ def _seed_level(
 
         def backtrack(pos: int, covered: int, union: int) -> tuple[int, ...] | None:
             if len(chosen) == s:
-                if covered & target == target and _cut_test(n, union, memo, stats):
+                if covered & target == target and is_cut(union):
                     return tuple(sorted(chosen))
                 return None
             missing = (target & ~covered).bit_count()
@@ -370,10 +371,12 @@ def _level_search(
 ) -> tuple[int, ...] | None:
     """Search all families of size s; None only after an exhaustive sweep.
 
-    Each family starts at a run start r and takes the rest from the vertex sets after r.
+    One cut test, memoised for this level, serves the seeded pass and then
+    analysis.sweep over the run starts reps, once the sweep's family count
+    is within _COMBINATION_CEILING.
     """
-    memo: dict[int, bool] = {}
-    hit = _seed_level(n, masks, candidates, s, memo, stats)
+    is_cut = partial(_cut_test, n, {}, stats)
+    hit = _seed_level(masks, candidates, s, is_cut)
     if hit:
         return hit
     total = sum(math.comb(len(masks) - r - 1, s - 1) for r in reps)
@@ -381,15 +384,7 @@ def _level_search(
         raise BudgetError(
             f"size-{s} sweep needs about {total} family tests, over the {_COMBINATION_CEILING} ceiling"
         )
-    for r in reps:
-        base = masks[r]
-        for comb in combinations(range(r + 1, len(masks)), s - 1):
-            union = base
-            for j in comb:
-                union |= masks[j]
-            if _cut_test(n, union, memo, stats):
-                return (r,) + comb
-    return None
+    return sweep(masks, reps, s, is_cut)
 
 
 def min_structure_cut(

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypercut import analysis
 from hypercut.analysis import (
     MALFORMED,
     NOT_A_CUT,
@@ -13,6 +14,7 @@ from hypercut.analysis import (
     is_disconnecting_mask,
     path_neighbor_bound,
     scan_distance2_common_neighbors,
+    sweep,
     validate_cut,
     vertex_mask,
 )
@@ -261,6 +263,60 @@ def test_g_extra_matches_the_all_subsets_brute_force():
                 assert g_extra_connectivity(n, g) == expected, (n, g)
                 defined += 1
     assert defined == 8  # Q2 g = 0, Q3 g = 0 and 1, Q4 g = 0..4
+
+
+def test_the_sweep_tries_each_family_from_a_start_once_in_order():
+    masks = [1 << i for i in range(7)]  # one bit per index, so a union names its family
+    starts, s = [0, 2, 5], 3
+    families = [(r, a, b) for r in starts for a in range(r + 1, 7) for b in range(a + 1, 7)]
+    unions = [sum(1 << i for i in family) for family in families]
+    seen = []
+
+    def nothing(union):
+        seen.append(union)
+        return False
+
+    assert sweep(masks, starts, s, nothing) is None
+    assert seen == unions and len(unions) == 21  # the last start has no two indices after it
+    wanted = families[17]
+    seen.clear()
+
+    def only_wanted(union):
+        seen.append(union)
+        return union == unions[17]
+
+    assert sweep(masks, starts, s, only_wanted) == wanted
+    assert seen == unions[:18]
+    assert sweep(masks, starts, s, lambda union: union in (unions[17], unions[-1])) == wanted
+
+
+def _g_extra_masks_by_the_removal_loop(n, g):
+    """The removal sets that hold vertex 0, by size, up to the first separating one: g-extra's earlier loop."""
+    seen = []
+    for s in range(1, 1 << n):
+        for rest in combinations(range(1, 1 << n), s - 1):
+            mask = 1 | sum(1 << v for v in rest)
+            seen.append(mask)
+            comps = component_masks(n, mask)
+            if len(comps) >= 2 and min(c.bit_count() for c in comps) >= g + 1:
+                return seen
+    return seen
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_g_extra_tries_the_removal_sets_of_its_earlier_loop_in_order(monkeypatch, n):
+    for g in range(n + 1):
+        seen = []
+
+        def recording_sweep(masks, starts, s, is_cut):
+            return sweep(masks, starts, s, lambda union: seen.append(union) or is_cut(union))
+
+        monkeypatch.setattr(analysis, "sweep", recording_sweep)
+        try:
+            g_extra_connectivity(n, g)
+        except ValueError:
+            pass  # Q3 has no removal for g = 2 or 3: both try every set
+        assert seen == _g_extra_masks_by_the_removal_loop(n, g), (n, g)
 
 
 def test_g_extra_rejections():

@@ -10,6 +10,8 @@ import pytest
 
 from hypercut import cli
 from hypercut.cli import MAX_CONSTRUCT_CHARS, main, render_dot
+from hypercut.cuts import CutFamily, StructureKind
+from hypercut.embeddings import CubePath
 
 
 def run(capsys, *argv):
@@ -162,6 +164,18 @@ def test_construct_dot_output(capsys):
     assert code == 0
     assert out.startswith("graph Q4 {")
     assert "gray80" in out
+
+
+def test_construct_exits_1_on_a_family_that_is_not_a_cut_in_both_formats(capsys, monkeypatch):
+    # one P3 next to vertex 0 leaves Q4 connected; the DOT graph is still printed
+    not_a_cut = CutFamily(4, StructureKind("path", 3), "structure", (CubePath(4, (1, 3, 2)),))
+    monkeypatch.setattr(cli, "build_path_cut", lambda n, k: not_a_cut)
+    code, out, _ = run(capsys, "construct", "--n", "4", "--kind", "path", "--k", "3")
+    assert code == 1
+    assert json.loads(out)["verdict"] == "elements-ok-but-not-a-cut"
+    code, out, _ = run(capsys, "construct", "--n", "4", "--kind", "path", "--k", "3", "--format", "dot")
+    assert code == 1
+    assert out.startswith("graph Q4 {")
 
 
 def test_oracle_q3_c4(capsys):

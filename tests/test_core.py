@@ -195,6 +195,13 @@ def test_vertex_string_roundtrip():
             assert vertex_from_string(vertex_to_string(v, n)) == v
 
 
+def test_vertex_string_matches_the_per_bit_rendering():
+    # labels at and past 2^n keep their low n bits, as the per-bit formula did
+    for n in range(9):
+        for v in range(1 << (n + 2)):
+            assert vertex_to_string(v, n) == "".join("1" if (v >> i) & 1 else "0" for i in range(n)), (v, n)
+
+
 def test_vertex_string_rejects_garbage():
     with pytest.raises(ValueError):
         vertex_from_string("10x")

@@ -9,6 +9,7 @@ from hypercut.embeddings import (
     CubeCycle,
     CubePath,
     CubeStar,
+    _gray_steps,
     embed_even_cycle,
     gray_sequence,
     gray_walk_from_edge,
@@ -36,6 +37,15 @@ def test_gray_successive_xor_is_power_of_two():
         for a, b in zip(seq, seq[1:] + seq[:1]):
             step = a ^ b
             assert step and step & (step - 1) == 0
+
+
+def test_gray_steps_are_the_coordinates_the_gray_sequence_crosses():
+    for n in range(9):
+        seq = gray_sequence(n)
+        crossed = [(a ^ b).bit_length() - 1 for a, b in zip(seq, seq[1:])]
+        assert _gray_steps(1 << n) == crossed
+        for count in range(1, (1 << n) + 1):
+            assert _gray_steps(count) == crossed[:count - 1]
 
 
 def test_gray_rejects_small_dimension():

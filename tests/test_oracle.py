@@ -552,7 +552,7 @@ def test_the_sweep_tests_each_family_from_a_run_start_once_and_as_many_as_its_es
     _, masks, reps = oracle._pool(n, kind, mode)
     tested = []
 
-    def record(n, mask, memo, stats):
+    def record(n, memo, stats, mask):
         tested.append(mask)
         return False
 
