@@ -12,6 +12,7 @@ exhaustive search: the oracle's levels and g-extra connectivity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -214,13 +215,14 @@ def g_extra_connectivity(n: int, g: int) -> int:
 
 
 def scan_distance2_common_neighbors(n: int) -> int:
-    """Count distance-2 pairs without exactly 2 common neighbors (expected 0), exhaustively."""
-    cube = Cube(n)
-    violations = 0
-    for v in cube.vertices():
-        for i in range(n):
-            for j in range(i + 1, n):
-                u = v ^ (1 << i) ^ (1 << j)
-                if v < u and len(cube.common_neighbors(v, u)) != 2:
-                    violations += 1
-    return violations
+    """Count distance-2 pairs of Q_n without exactly 2 common neighbors (expected 0).
+
+    One pair answers for all 2^(n-1)·C(n, 2) of them.  A translation moves
+    one end of any distance-2 pair to 0, and a coordinate permutation then
+    moves the other end onto 3 = e_0|e_1.  Automorphisms keep common
+    neighbours, so the count is 0 if 0 and 3 have exactly two, and every
+    pair fails otherwise.  Below n = 2 there are no such pairs.
+    """
+    if n < 2:
+        return 0
+    return 0 if len(Cube(n).common_neighbors(0, 3)) == 2 else math.comb(n, 2) << (n - 1)

@@ -20,6 +20,7 @@ import io
 import json
 import sys
 import time
+from functools import partial
 from typing import Callable
 
 from . import analysis, cuts, formulas, oracle
@@ -40,9 +41,6 @@ EXIT_BUDGET = 3
 MAX_CONSTRUCT_CHARS = 21 << 20
 # The largest n drawn as DOT: render_dot writes all 2^n vertices and n * 2^(n-1) edges.
 MAX_DOT_DIM = 8
-# The largest property-test --nmax: the common-neighbour scan takes 2^n * C(n, 2)
-# steps, which came to 7-8 s at --nmax 14 and about 5.5 times that at 16 on 2 vCPUs.
-MAX_SCAN_DIM = 14
 
 _PALETTE = (
     "#66c2a5", "#fc8d62", "#8da0cb", "#e78ac3",
@@ -68,13 +66,14 @@ def _family_payload(family: CutFamily) -> dict:
 
 
 def _emit(text: str, out: str | None) -> None:
+    """Write text, ending in a newline, to the file out, or to stdout without one."""
+    if not text.endswith("\n"):
+        text += "\n"
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _emit_json(command: str, parameters: dict, out: str | None, **fields) -> None:
@@ -282,7 +281,8 @@ _SCOPES = {
     "budengs": (_verify_budengs, 64),
     "g-extra": (_verify_g_extra, None),
 }
-# the largest --nmax, the largest scope default (budengs): scope all took 5.5 s there on 2 vCPUs
+# the largest verify and property-test --nmax, the largest scope default (budengs):
+# verify --scope all took 5.5 s there on 2 vCPUs
 MAX_VERIFY_NMAX = max(default for _, default in _SCOPES.values() if default)
 
 
@@ -345,31 +345,38 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 # --- property-test ---
 
 
-# property-test bound suite -> (shape, k range, bound on the count, d_max(k): the most coordinates a copy crosses)
-_BOUND_SUITES = {
-    "path-bound": ("path", range(3, 11), analysis.path_neighbor_bound, lambda k: k - 1),
-    "cycle-bound": ("cycle", range(4, 11, 2), lambda k: k - 1, lambda k: k // 2),
+def _common_neighbor_checks(nmax: int) -> list[dict]:
+    bad = sum(analysis.scan_distance2_common_neighbors(n) for n in range(2, nmax + 1))
+    return [{"detail": f"exhaustive n <= {nmax}", "expected": 0, "actual": bad}]
+
+
+def _bound_checks(shape: str, ks: range, bound: Callable[[int], int], d_max: Callable[[int], int],
+                  nmax: int) -> list[dict]:
+    """One check per k: the exhaustive maximum of the neighbour count against bound(k).
+
+    d_max(k) is the most coordinates a copy crosses; the maximum is the same
+    at every n from d_max(k) + 2 on, and no larger below, so nmax is not read.
+    """
+    return [{"detail": "exhaustive; the maximum over every n", "n": d_max(k) + 2, "k": k,
+             "expected": bound(k), "actual": oracle.neighbor_count_maximum(d_max(k) + 2, shape, k)}
+            for k in ks]
+
+
+# property-test suite -> check builder taking nmax; "all" runs them in this order.
+# A check passes when actual <= expected: a count of failing pairs against 0, or a maximum against its bound.
+_SUITES = {
+    "common-neighbors": _common_neighbor_checks,
+    "path-bound": partial(_bound_checks, "path", range(3, 11), analysis.path_neighbor_bound, lambda k: k - 1),
+    "cycle-bound": partial(_bound_checks, "cycle", range(4, 11, 2), lambda k: k - 1, lambda k: k // 2),
 }
 
 
 def cmd_property_test(args: argparse.Namespace) -> int:
-    if not 2 <= args.nmax <= MAX_SCAN_DIM:
-        raise ValueError(f"--nmax must be in [2, {MAX_SCAN_DIM}], got {args.nmax}")
-    suites = ["common-neighbors", *_BOUND_SUITES] if args.suite == "all" else [args.suite]
-    rows = []
-    for suite in suites:
-        if suite == "common-neighbors":
-            bad = sum(analysis.scan_distance2_common_neighbors(n) for n in range(2, args.nmax + 1))
-            rows.append(_row("property", suite, "pass" if bad == 0 else "fail",
-                             f"exhaustive n <= {args.nmax}", expected=0, actual=bad))
-            continue
-        shape, ks, bound, d_max = _BOUND_SUITES[suite]
-        for k in ks:
-            n = d_max(k) + 2  # the maximum is the same at every n from here on, and no larger below
-            maximum = oracle.neighbor_count_maximum(n, shape, k)
-            rows.append(_row("property", suite, "pass" if maximum <= bound(k) else "fail",
-                             "exhaustive; the maximum over every n",
-                             n=n, k=k, expected=bound(k), actual=maximum))
+    if not 2 <= args.nmax <= MAX_VERIFY_NMAX:
+        raise ValueError(f"--nmax must be in [2, {MAX_VERIFY_NMAX}], got {args.nmax}")
+    suites = list(_SUITES) if args.suite == "all" else [args.suite]
+    rows = [_row("property", suite, "pass" if check["actual"] <= check["expected"] else "fail", **check)
+            for suite in suites for check in _SUITES[suite](args.nmax)]
     parameters = {"suite": args.suite, "nmax": args.nmax}
     return _emit_report("property-test", parameters, rows, args.format, args.out)
 
@@ -416,8 +423,7 @@ def build_parser() -> argparse.ArgumentParser:
     # no abbreviations, so the retired sampler flag --n is refused, not read as --nmax
     p = sub.add_parser("property-test", help="exhaustive neighbour-count and common-neighbour checks",
                        allow_abbrev=False)
-    p.add_argument("--suite", choices=["common-neighbors", "path-bound", "cycle-bound", "all"],
-                   default="all")
+    p.add_argument("--suite", choices=[*_SUITES, "all"], default="all")
     p.add_argument("--nmax", type=int, default=10)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out")

@@ -24,14 +24,10 @@ LOWER_BOUND = "lower-bound"
 
 @dataclass(frozen=True)
 class KappaValue:
-    """An exact connectivity value or a lower bound.
-
-    source names the result family the number comes from.
-    """
+    """An exact connectivity value or a lower bound."""
 
     status: str
     value: int
-    source: str
 
     def __post_init__(self) -> None:
         if self.status not in (EXACT, LOWER_BOUND):
@@ -61,7 +57,7 @@ def kappa_path(n: int, k: int, mode: str = "structure") -> KappaValue:
         raise NotCoveredError(f"path values need n >= 3, got {n}")
     if not (k >= 3 and at_most_power_of_two(k, n - 1)):
         raise NotCoveredError(f"path values need 3 <= k <= 2^(n-1), got k={k} at n={n}")
-    return KappaValue(EXACT, _path_value(n, k), "path-cut")
+    return KappaValue(EXACT, _path_value(n, k))
 
 
 def kappa_cycle(n: int, k: int, mode: str = "structure") -> KappaValue:
@@ -81,7 +77,7 @@ def kappa_cycle(n: int, k: int, mode: str = "structure") -> KappaValue:
             raise NotCoveredError(
                 f"substructure cycle values need 3 <= k <= 2^(n-1), got k={k} at n={n}"
             )
-        return KappaValue(EXACT, _path_value(n, k), "cycle-cut")
+        return KappaValue(EXACT, _path_value(n, k))
     if k % 2:
         raise NotCoveredError(f"structure mode needs even k (no odd cycle embeds), got {k}")
     if not (k >= 4 and at_most_power_of_two(k, n - 1)):
@@ -89,11 +85,11 @@ def kappa_cycle(n: int, k: int, mode: str = "structure") -> KappaValue:
             f"structure cycle values need 4 <= k <= 2^(n-1), got k={k} at n={n}"
         )
     if k == 4:
-        return KappaValue(EXACT, 2 if n == 3 else n - 2, "star-and-c4-baseline")
+        return KappaValue(EXACT, 2 if n == 3 else n - 2)
     if n >= 5 and at_most_power_of_two(k, n - 2):
-        return KappaValue(EXACT, _ceil_div(2 * n, k), "cycle-cut")
+        return KappaValue(EXACT, _ceil_div(2 * n, k))
     # even lengths in (2^(n-2), 2^(n-1)]: exactness is open, only the bound holds
-    return KappaValue(LOWER_BOUND, _ceil_div(2 * n, k), "cycle-open-regime")
+    return KappaValue(LOWER_BOUND, _ceil_div(2 * n, k))
 
 
 def kappa_power_of_two_cycle(n: int, m: int) -> KappaValue:
@@ -115,7 +111,7 @@ def kappa_power_of_two_cycle(n: int, m: int) -> KappaValue:
         raise RuntimeError(
             f"formula disagreement at n={n}, m={m}: {value} vs general cycle value {general.value}"
         )
-    return KappaValue(EXACT, value, "power-of-two-cycle")
+    return KappaValue(EXACT, value)
 
 
 _BASELINE = {
@@ -143,7 +139,7 @@ def kappa_baseline(n: int, kind: StructureKind, mode: str = "structure") -> Kapp
             raise RuntimeError(
                 f"formula disagreement for C4 at n={n}: {value} vs {general.value}"
             )
-    return KappaValue(EXACT, value, "star-and-c4-baseline")
+    return KappaValue(EXACT, value)
 
 
 def kappa_g_extra_formula(n: int, g: int) -> int:

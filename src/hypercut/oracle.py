@@ -281,8 +281,6 @@ def _pool(n: int, kind: StructureKind, mode: str) -> tuple[list[str], list[int],
 # The most labelled copies a search may stand for, counted from the seeds before any block is
 # built: just above Q5 C8 substructure's 333,872, on 186,352 vertex sets (P8 substructure: 327,152
 # on 179,832).  A pool holds at most one vertex set per copy, so the count bounds what is built.
-# Q4 P16 substructure stands for 725,424 copies: as labelled copies they took 15.7 s and 352 MB;
-# its 19,673 vertex sets take about 1.3 s, most of it counting the paths on each run's first one.
 _COPY_CEILING = 340_000
 
 

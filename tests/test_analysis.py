@@ -326,6 +326,27 @@ def test_g_extra_rejections():
         g_extra_connectivity(4, 5)
 
 
+def _distance2_pairs_without_two_common_neighbors(n):
+    """The exhaustive count the one-pair argument replaces: every pair v < u at distance 2."""
+    cube = Cube(n)
+    violations = 0
+    for v in cube.vertices():
+        for i in range(n):
+            for j in range(i + 1, n):
+                u = v ^ (1 << i) ^ (1 << j)
+                if v < u and len(cube.common_neighbors(v, u)) != 2:
+                    violations += 1
+    return violations
+
+
 def test_scan_distance2_common_neighbors():
-    for n in range(2, 8):
-        assert scan_distance2_common_neighbors(n) == 0
+    for n in range(2, 9):
+        assert scan_distance2_common_neighbors(n) == _distance2_pairs_without_two_common_neighbors(n) == 0
+    assert scan_distance2_common_neighbors(1) == 0
+
+
+def test_scan_distance2_common_neighbors_counts_every_pair_when_one_fails(monkeypatch):
+    common_neighbors = Cube.common_neighbors
+    monkeypatch.setattr(Cube, "common_neighbors", lambda cube, u, v: common_neighbors(cube, u, v) | {u})
+    for n in range(2, 9):
+        assert scan_distance2_common_neighbors(n) == _distance2_pairs_without_two_common_neighbors(n) > 0

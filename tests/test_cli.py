@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +12,11 @@ import pytest
 from hypercut import cli
 from hypercut.cli import MAX_CONSTRUCT_CHARS, main, render_dot
 from hypercut.cuts import CutFamily, StructureKind
+from hypercut.core import Cube
 from hypercut.embeddings import CubePath
+
+# pin name -> sha256 of the stdout it pins, and the argv where the pin is one command; CI reads the same file
+PINS = json.loads((Path(__file__).parent / "pins.json").read_text())
 
 
 def run(capsys, *argv):
@@ -104,12 +109,8 @@ def test_construct_dot_refuses_large_n_before_building(capsys, monkeypatch):
     assert out.startswith("graph Q8 {")
 
 
-# n = 5..12: paths k in {3, 2n-2, 2n-1, 2n, 2^(n-1)}, cycles k in {6, 2n, 2n+2, 2^(n-2)}
-# with 6 <= k <= 2^(n-2); recorded before construction walked the Gray code by index
-_CONSTRUCT_LADDER_SHA256 = "9c5daf62da00356e1a7db0f598058341e9cbe289479e845382bc8bba0996371a"
-
-
 def test_construct_ladder_stdout_is_byte_stable(capsys):
+    # n = 5..12: paths k in {3, 2n-2, 2n-1, 2n, 2^(n-1)}, cycles k in {6, 2n, 2n+2, 2^(n-2)} with 6 <= k <= 2^(n-2)
     outs = []
     for n in range(5, 13):
         specs = [("path", k) for k in (3, 2 * n - 2, 2 * n - 1, 2 * n, 1 << (n - 1))]
@@ -119,7 +120,7 @@ def test_construct_ladder_stdout_is_byte_stable(capsys):
             assert code == 0
             outs.append(out)
     assert len(outs) == 70
-    assert hashlib.sha256("".join(outs).encode()).hexdigest() == _CONSTRUCT_LADDER_SHA256
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == PINS["construct-ladder"]["sha256"]
 
 
 def test_construct_cycle_family(capsys):
@@ -221,22 +222,15 @@ def _oracle_pin_commands():
     yield ("--n", "5", "--kind", "path", "--k", "4")
 
 
-# every kind and mode at n = 3, 4 with the default family-size budget, and two
-# n = 5 searches; re-recorded when pools came to hold vertex sets, not labelled
-# copies: copies (and for Q4 P6 structure, P6 and C6 substructure, orbits) now count
-# vertex sets in 14 commands, the witnesses of Q3 K1,3 and Q4 P6 structure changed,
-# and so did the cut_tests of Q4 C4 structure and Q5 P4, with no value or status changed
-_ORACLE_SHA256 = "79bc93aecca6fe986a801f3915b6b7d63ed9235a63eb73174930f81af2e9f338"
-
-
 def test_oracle_stdout_is_byte_stable(capsys):
+    # every kind and mode at n = 3, 4 with the default family-size budget, and two n = 5 searches
     outs = []
     for argv in _oracle_pin_commands():
         code, out, _ = run(capsys, "oracle", *argv)
         assert code == 0
         outs.append(out)
     assert len(outs) == 44
-    assert hashlib.sha256("".join(outs).encode()).hexdigest() == _ORACLE_SHA256
+    assert hashlib.sha256("".join(outs).encode()).hexdigest() == PINS["oracle"]["sha256"]
 
 
 def _refusing(message):
@@ -514,16 +508,30 @@ def test_property_test_refuses_seed(capsys, monkeypatch):
     _refuses_unrecognized(capsys, monkeypatch, "--seed", "1")
 
 
-@pytest.mark.parametrize("nmax", ["1", "-5", str(cli.MAX_SCAN_DIM + 1), "64"])
+@pytest.mark.parametrize("nmax", ["1", "-5", str(cli.MAX_VERIFY_NMAX + 1), "100000"])
 def test_property_test_refuses_nmax_out_of_range(capsys, monkeypatch, nmax):
-    def scan(n):
-        raise AssertionError("scanned before refusing")
+    monkeypatch.setattr(cli.analysis, "scan_distance2_common_neighbors", _no_scan)
+    for suite in ("common-neighbors", "all"):
+        code, out, err = run(capsys, "property-test", "--suite", suite, "--nmax", nmax)
+        assert code == 2
+        assert out == ""
+        assert f"--nmax must be in [2, 64], got {nmax}" in err
 
-    monkeypatch.setattr(cli.analysis, "scan_distance2_common_neighbors", scan)
-    code, out, err = run(capsys, "property-test", "--suite", "common-neighbors", "--nmax", nmax)
-    assert code == 2
-    assert out == ""
-    assert f"[2, {cli.MAX_SCAN_DIM}]" in err
+
+def test_property_test_scans_to_the_verify_cap(capsys):
+    code, out, _ = run(capsys, "property-test", "--suite", "common-neighbors", "--nmax", str(cli.MAX_VERIFY_NMAX))
+    assert code == 0
+    (row,) = json.loads(out)["rows"]
+    assert (row["status"], row["actual"], row["detail"]) == ("pass", 0, "exhaustive n <= 64")
+
+
+def test_property_test_fails_every_pair_when_the_representative_pair_fails(capsys, monkeypatch):
+    common_neighbors = Cube.common_neighbors
+    monkeypatch.setattr(Cube, "common_neighbors", lambda cube, u, v: set(sorted(common_neighbors(cube, u, v))[1:]))
+    code, out, _ = run(capsys, "property-test", "--suite", "common-neighbors", "--nmax", "4")
+    assert code == 1
+    (row,) = json.loads(out)["rows"]
+    assert (row["status"], row["actual"]) == ("fail", sum((1 << (n - 1)) * math.comb(n, 2) for n in range(2, 5)))
 
 
 def test_property_test_scans_from_dimension_2(capsys):
@@ -549,6 +557,21 @@ def test_unwritable_out_exits_2_without_a_traceback(capsys, tmp_path, argv):
     assert not target.parent.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--scope", "g-extra"),
+    ("verify", "--scope", "g-extra", "--format", "csv"),
+    ("oracle", "--n", "3", "--kind", "path", "--k", "3"),
+    ("construct", "--n", "5", "--kind", "path", "--k", "4"),
+    ("construct", "--n", "4", "--kind", "path", "--k", "3", "--format", "dot"),
+    ("property-test", "--suite", "cycle-bound"),
+], ids=["verify-json", "verify-csv", "oracle", "construct-json", "construct-dot", "property-test"])
+def test_out_file_holds_the_stdout_bytes(capsys, tmp_path, argv):
+    code, out, _ = run(capsys, *argv)
+    target = tmp_path / "f"
+    assert run(capsys, *argv, "--out", str(target))[:2] == (code, "")
+    assert target.read_bytes() == out.encode()
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["construct", "--n", "5"]) == 2  # missing required flags
     capsys.readouterr()
@@ -562,27 +585,13 @@ def test_render_dot_components_colored():
     assert len(colors) == 2
 
 
-# (arguments, sha256 of stdout); the "unset" digest, named for the unset oracle
-# ceiling it was first recorded under, and the "paths-nmax-11" digest are the two
-# that perfbench/workloads.py pins
-_PINNED_STDOUT = {
-    "unset": (("verify", "--scope", "all", "--jobs", "1"),
-              "646e4b8e7577b7f52d7fbdba0bbf9e41e408d0e5b36fb0afb91506dfd24face3"),
-    "cycles-csv": (("verify", "--scope", "cycles", "--format", "csv", "--jobs", "1"),
-                   "883b5296cad3b512a2a3156a209985ac50129f3d385a9eb636910e17ec3688c4"),
-    "paths-nmax-11": (("verify", "--scope", "paths", "--nmax", "11", "--jobs", "1"),
-                      "f6ae5f6a8d29ef16b445ce69809696db98d23b35655db55f7d6abd42714a9b5e"),
-    "property-test": (("property-test",),
-                      "ac93c5e665d1bc44c7892756488327b9600cab3ea68b3c3aec00f28832002303"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_PINNED_STDOUT))
+# the "unset" pin is named for the unset oracle ceiling it was first recorded under; perfbench/workloads.py
+# holds its own copies of the "unset" and "paths-nmax-11" digests
+@pytest.mark.parametrize("case", sorted(name for name, pin in PINS.items() if "argv" in pin))
 def test_verify_all_stdout_is_byte_stable(capsys, case):
-    argv, expected = _PINNED_STDOUT[case]
-    code, out, _ = run(capsys, *argv)
+    code, out, _ = run(capsys, *PINS[case]["argv"])
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == expected
+    assert hashlib.sha256(out.encode()).hexdigest() == PINS[case]["sha256"]
 
 
 def test_verify_checks_each_built_element_once(capsys, monkeypatch):

@@ -162,12 +162,12 @@ def test_budengs_sweep():
 
 
 def test_kappa_value_validation():
-    exact = KappaValue("exact", 3, "path-cut")
+    exact = KappaValue("exact", 3)
     assert exact.is_exact
     with pytest.raises(ValueError):
-        KappaValue("made-up", 3, "x")
+        KappaValue("made-up", 3)
     with pytest.raises(ValueError):
-        KappaValue("interval", 3, "x")  # no longer a status
+        KappaValue("interval", 3)  # no longer a status
 
 
 def test_mode_validation():
