@@ -19,7 +19,7 @@ from .embeddings import (
     CubeStar,
     _carry,
     _fold_steps,
-    gray_walk_from_edge,
+    _gray_steps,
     hamiltonian_through_edge,  # re-exported: perfbench/tracing.py wraps cuts.hamiltonian_through_edge
     odd_path_between_adjacent,  # re-exported, unused here, for the same wrapper
     require_valid,
@@ -161,15 +161,17 @@ def _extended_path(n: int, k: int) -> CubePath:
     """One path on k >= 2n - 1 vertices covering all neighbors of the zero vertex.
 
     The spine already ends with the edge (e_{n-2}|e_{n-1}, e_{n-1}), whose
-    endpoints lie in the subcube x^{n-1} = 1.  The Gray walk of Q_n carried
-    onto that edge supplies the k - (2n - 1) extension vertices, leading
-    away from e_{n-2}|e_{n-1}; its k - 2n + 3 <= 2^(n-1) vertices cross no
-    coordinate past n - 2, so it stays in the subcube with no lift.
+    endpoints lie in the subcube x^{n-1} = 1.  The Gray walk of Q_n, which
+    starts with the edge (0, 1), carried onto that edge by the automorphism
+    that swaps coordinates 0 and n - 2, supplies the k - (2n - 1) extension
+    vertices, leading away from e_{n-2}|e_{n-1}; its k - 2n + 3 <= 2^(n-1)
+    vertices cross no coordinate past n - 2, so it stays in the subcube
+    with no lift.
     """
     verts = _spine(0, n)
     extension = k - (2 * n - 1)
     if extension:
-        verts.extend(gray_walk_from_edge(n, (3 << (n - 2), 1 << (n - 1)), extension + 2)[2:])
+        verts.extend(_carry(3 << (n - 2), (n - 2, *range(1, n - 2), 0, n - 1), _gray_steps(extension + 2))[2:])
     path = CubePath(n, tuple(verts))
     require_valid(path)
     return path

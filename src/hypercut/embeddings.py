@@ -180,23 +180,16 @@ def _carry(start: int, perm, coords) -> list[int]:
     return walk
 
 
-def gray_walk_from_edge(n: int, edge: tuple[int, int], count: int) -> list[int]:
-    """The first count vertices of the Gray cycle of Q_n, which starts with the edge (0, 1), carried onto edge."""
-    sigma = edge_mapping_automorphism(n, (0, 1), edge)
-    if not 0 <= count <= 1 << n:
-        raise ValueError(f"walk of {count} vertices does not fit in Q_{n}")
-    return _carry(sigma.mask, sigma.perm, _gray_steps(count)) if count else []
-
-
 def hamiltonian_through_edge(n: int, edge: tuple[int, int]) -> CubeCycle:
     """A Hamiltonian cycle of Q_n containing the given edge.
 
     The Gray cycle contains the edge (0, 1); an edge-mapping automorphism
-    carries it onto the target, so no search is ever needed.
+    carries its steps onto the target, so no search is ever needed.
     """
     if n < 2:
         raise ValueError(f"Hamiltonian cycles need n >= 2, got {n}")
-    walk = gray_walk_from_edge(n, edge, 1 << n)
+    sigma = edge_mapping_automorphism(n, (0, 1), edge)
+    walk = _carry(sigma.mask, sigma.perm, _gray_steps(1 << n))
     cycle = CubeCycle(n, canonical_cycle_orientation(tuple(walk)))
     require_valid(cycle)
     return cycle

@@ -88,7 +88,7 @@ def kappa_cycle(n: int, k: int, mode: str = "structure") -> KappaValue:
         return KappaValue(EXACT, 2 if n == 3 else n - 2)
     if n >= 5 and at_most_power_of_two(k, n - 2):
         return KappaValue(EXACT, _ceil_div(2 * n, k))
-    # even lengths in (2^(n-2), 2^(n-1)]: exactness is open, only the bound holds
+    # even lengths in (2^(n-2), 2^(n-1)]: the paper's range covers them, but no construction here does yet
     return KappaValue(LOWER_BOUND, _ceil_div(2 * n, k))
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from typing import Callable, Iterator, Mapping
 
 from .analysis import coordinate_shift_masks, is_disconnecting_mask, neighborhood_vertex_mask, sweep
@@ -311,34 +311,32 @@ def _single_cut(n: int, shapes: tuple[tuple[str, int], ...], stats: dict[str, in
     return None
 
 
-_Candidates = list[tuple[int, list[int], list[int], list[int]]]
-
-
-def _seed_candidates(n: int, masks: list[int]) -> _Candidates:
-    """(target, idxs, coverages, covers) for the neighborhoods of vertex 0 and of edge {0, e_0}.
+def _seed_candidates(n: int, masks: list[int], forbidden: int) -> tuple[int, list[int], list[int], list[int]]:
+    """(target, idxs, coverages, covers) for the neighborhood of the vertex set forbidden.
 
     The candidates are the 400 vertex sets covering most of the target while
-    avoiding the vertex or edge itself, best first and then by pool index.
-    They do not depend on the family size, so a search finds them once.
+    avoiding forbidden itself, best first and then by pool index.  They do
+    not depend on the family size, so a search scores each target once, when
+    its seeded pass first reaches it.
     """
-    out = []
-    for forbidden in (1 << 0, (1 << 0) | (1 << 1)):
-        target = neighborhood_vertex_mask(n, forbidden)
-        scored = sorted((-(m & target).bit_count(), i) for i, m in enumerate(masks)
-                        if m & target and not m & forbidden)[:400]
-        idxs = [i for _, i in scored]
-        out.append((target, idxs, [-c for c, _ in scored], [masks[i] & target for i in idxs]))
-    return out
+    target = neighborhood_vertex_mask(n, forbidden)
+    scored = sorted((-(m & target).bit_count(), i) for i, m in enumerate(masks)
+                    if m & target and not m & forbidden)[:400]
+    idxs = [i for _, i in scored]
+    return target, idxs, [-c for c, _ in scored], [masks[i] & target for i in idxs]
 
 
 def _seed_level(
-    masks: list[int], candidates: _Candidates, s: int, is_cut: Callable[[int], bool]
+    masks: list[int], scorers: list[Callable[[], tuple]], s: int, is_cut: Callable[[int], bool]
 ) -> tuple[int, ...] | None:
     """Hunt for a size-s cut covering a fixed vertex/edge neighborhood, judged by is_cut.
 
-    Finding-only: a miss here proves nothing, the exhaustive pass follows.
+    Each scorer gives one target's candidates, and is called only when the
+    hunt reaches that target.  Finding-only: a miss here proves nothing, the
+    exhaustive pass follows.
     """
-    for target, idxs, coverages, covers in candidates:
+    for score in scorers:
+        target, idxs, coverages, covers = score()
         chosen: list[int] = []
 
         def backtrack(pos: int, covered: int, union: int) -> tuple[int, ...] | None:
@@ -365,7 +363,7 @@ def _seed_level(
 
 
 def _level_search(
-    n: int, masks: list[int], reps: list[int], candidates: _Candidates, s: int, stats: dict[str, int]
+    n: int, masks: list[int], reps: list[int], scorers: list[Callable[[], tuple]], s: int, stats: dict[str, int]
 ) -> tuple[int, ...] | None:
     """Search all families of size s; None only after an exhaustive sweep.
 
@@ -374,7 +372,7 @@ def _level_search(
     is within _COMBINATION_CEILING.
     """
     is_cut = partial(_cut_test, n, {}, stats)
-    hit = _seed_level(masks, candidates, s, is_cut)
+    hit = _seed_level(masks, scorers, s, is_cut)
     if hit:
         return hit
     total = sum(math.comb(len(masks) - r - 1, s - 1) for r in reps)
@@ -425,9 +423,10 @@ def min_structure_cut(
                               f" over the {_COPY_CEILING} ceiling")
         shapes, masks, reps = _pool(n, kind, mode)
         stats["copies"], stats["orbits"] = len(masks), len(reps)
-        candidates = _seed_candidates(n, masks)
+        # one cached scorer per target, the vertex 0 and the edge {0, e_0}
+        scorers = [cache(partial(_seed_candidates, n, masks, forbidden)) for forbidden in (1, 3)]
         for s in range(2, budget.max_family_size + 1):
-            hit = _level_search(n, masks, reps, candidates, s, stats)
+            hit = _level_search(n, masks, reps, scorers, s, stats)
             if hit is not None:
                 elements = (_ELEMENT[shapes[i]](n, _elements_on(n, shapes[i], masks[i])[0]) for i in hit)
                 witness = CutFamily(n, kind, mode, tuple(elements))

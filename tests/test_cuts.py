@@ -174,21 +174,22 @@ def test_long_element_builders_check_what_they_build(monkeypatch):
     # each long element is checked once, by its builder: one wrong step must raise there
     from hypercut import cuts
 
-    walk, steps = cuts.gray_walk_from_edge, cuts._fold_steps
-
-    def walk_leaving_the_subcube(n, edge, count):
-        out = walk(n, edge, count)
-        out[-1] ^= 1 << (n - 1)
-        return out
+    gray, steps = cuts._gray_steps, cuts._fold_steps
 
     def steps_with_one_wrong(m, l):
         out = steps(m, l)
         out[len(out) // 2] = (out[len(out) // 2] + 1) % m
         return out
 
-    monkeypatch.setattr(cuts, "gray_walk_from_edge", walk_leaving_the_subcube)
     monkeypatch.setattr(cuts, "_fold_steps", steps_with_one_wrong)
     for n in (6, 9):
+        def steps_leaving_the_subcube(count, n=n):
+            # the second step crosses x^{n-1} from e_{n-1} to 0, so the next one lands on the spine's e_{n-2}
+            out = gray(count)
+            out[1] = n - 1
+            return out
+
+        monkeypatch.setattr(cuts, "_gray_steps", steps_leaving_the_subcube)
         with pytest.raises(AssertionError, match="violates its invariants"):
             build_path_cut(n, 2 * n + 3)
         with pytest.raises(AssertionError, match="violates its invariants"):

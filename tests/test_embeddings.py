@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypercut.core import edge_mapping_automorphism
+from hypercut.cuts import _extended_path
 from hypercut.embeddings import (
     CubeCycle,
     CubePath,
     CubeStar,
     _gray_steps,
+    canonical_cycle_orientation,
     embed_even_cycle,
     gray_sequence,
-    gray_walk_from_edge,
     hamiltonian_through_edge,
     odd_path_between_adjacent,
     restrict_to_subcube,
@@ -54,36 +55,43 @@ def test_gray_rejects_small_dimension():
 
 
 def test_gray_walk_from_edge_is_the_mapped_gray_cycle():
-    # every edge, both directions, every prefix length, at n <= 5
-    for n in range(1, 6):
+    # the Gray cycle carried onto an edge by edge_mapping_automorphism(...).apply, vertex by vertex
+    def mapped(n, edge):
+        sigma = edge_mapping_automorphism(n, (0, 1), edge)
+        return [sigma.apply(g) for g in gray_sequence(n)]
+
+    # every edge, both directions, at n <= 5
+    for n in range(2, 6):
         for a in range(1 << n):
             for i in range(n):
                 edge = (a, a ^ (1 << i))
-                sigma = edge_mapping_automorphism(n, (0, 1), edge)
-                mapped = [sigma.apply(g) for g in gray_sequence(n)]
-                for c in range((1 << n) + 1):
-                    assert gray_walk_from_edge(n, edge, c) == mapped[:c]
+                full = canonical_cycle_orientation(tuple(mapped(n, edge)))
+                assert hamiltonian_through_edge(n, edge).verts == full
+    # the long path's extension leaves the spine's last edge along the mapped prefix, for every extended k
+    for n in range(3, 9):
+        walk = mapped(n, (3 << (n - 2), 1 << (n - 1)))
+        for k in range(2 * n - 1, (1 << (n - 1)) + 1):
+            if k % 2 or k >= 2 * n:
+                assert _extended_path(n, k).verts[2 * n - 1:] == tuple(walk[2:k - 2 * n + 3]), (n, k)
 
 
 def test_gray_walk_from_edge_is_a_hamiltonian_walk_starting_on_the_edge():
-    # read off the walk itself: no automorphism, no Gray code
-    for n in range(1, 8):
+    # read off the cycle itself: no automorphism, no Gray code
+    for n in range(2, 8):
         for edge in ((0, 1), (1 << (n - 1), 0), ((1 << n) - 1, (1 << n) - 2)):
-            walk = gray_walk_from_edge(n, edge, 1 << n)
-            assert walk[:2] == list(edge)
-            assert sorted(walk) == list(range(1 << n))
-            for a, b in zip(walk, walk[1:] + walk[:1]):
+            cycle = hamiltonian_through_edge(n, edge)
+            assert _has_edge(cycle, *edge)
+            assert sorted(cycle.verts) == list(range(1 << n))
+            for a, b in zip(cycle.verts, cycle.verts[1:] + cycle.verts[:1]):
                 assert bin(a ^ b).count("1") == 1
 
 
 def test_gray_walk_from_edge_rejections():
-    assert gray_walk_from_edge(3, (0, 1), 0) == []
-    with pytest.raises(ValueError):
-        gray_walk_from_edge(3, (0, 1), 9)
-    with pytest.raises(ValueError):
-        gray_walk_from_edge(3, (0, 1), -1)
-    with pytest.raises(ValueError):
-        gray_walk_from_edge(3, (0, 3), 2)
+    # the Gray cycle is carried only onto an edge whose endpoints are labels of Q_n
+    with pytest.raises(ValueError, match="out of range"):
+        hamiltonian_through_edge(3, (8, 9))
+    with pytest.raises(ValueError, match="out of range"):
+        hamiltonian_through_edge(3, (-1, 0))
 
 
 def _has_edge(cycle, a, b):

@@ -578,6 +578,21 @@ def test_the_sweep_tests_each_family_from_a_run_start_once_and_as_many_as_its_es
     assert {orbit_key(m) for m in tested} == {orbit_key(a | b) for a, b in combinations(masks, 2)}
 
 
+@pytest.mark.parametrize("n,kind,levels,scored", [(5, StructureKind("cycle", 8), 1, [1]),
+                                                  (4, StructureKind("edge", 2), 2, [1, 3])],
+                         ids=["Q5-C8", "Q4-K1,1"])
+def test_each_seeded_target_is_scored_when_a_search_first_reaches_it(monkeypatch, n, kind, levels, scored):
+    # the vertex target answers Q5 C8 at s = 2, so the edge target is never scored; Q4's edge misses
+    # both targets at s = 2 and answers at s = 3, and each target is scored once for both levels
+    forbidden = []
+    target = oracle.neighborhood_vertex_mask
+    monkeypatch.setattr(oracle, "neighborhood_vertex_mask", lambda n, f: forbidden.append(f) or target(n, f))
+    result = min_structure_cut(n, kind)
+    assert (result.value, result.status) == (levels + 1, "exact")
+    assert forbidden == scored
+    pool_block.cache_clear()
+
+
 def test_enumerate_copies_returns_a_fresh_list():
     first = enumerate_copies(3, StructureKind("path", 3), "substructure")
     expected = list(first)
