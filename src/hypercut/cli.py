@@ -272,8 +272,8 @@ def _verify_g_extra(nmax: int) -> list[dict]:
     return rows
 
 
-# verify scope -> (row builder taking nmax, default --nmax);
-# "all" runs them in this order, and g-extra checks n = 4 whatever --nmax says
+# verify scope -> (row builder taking nmax, default --nmax); "all" runs them in this order.  Two parts
+# ignore --nmax: g-extra checks n = 4, and power-of-two always runs its oracle rows Q4 C4, Q5 C4 and Q5 C8
 _SCOPES = {
     "paths": (_verify_paths, 6),
     "cycles": (_verify_cycles, 6),

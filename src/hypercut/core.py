@@ -74,76 +74,21 @@ class Cube:
         return vertex_from_string(s)
 
 
-@dataclass(frozen=True)
-class Automorphism:
-    """A hypercube automorphism: coordinate permutation plus complement mask.
-
-    Coordinate i of the input becomes coordinate perm[i] of the image, and
-    the mask is XORed afterwards.  These maps are exactly the automorphism
-    group of Q_n, of size n! * 2^n, and they preserve adjacency by
-    construction: sigma(v ^ (1 << i)) == sigma(v) ^ (1 << perm[i]).
-    """
-
-    n: int
-    perm: tuple[int, ...]
-    mask: int
-
-    def __post_init__(self) -> None:
-        if sorted(self.perm) != list(range(self.n)):
-            raise ValueError(f"perm {self.perm} is not a permutation of 0..{self.n - 1}")
-        if not 0 <= self.mask < (1 << self.n):
-            raise ValueError(f"mask {self.mask} out of range for dimension {self.n}")
-
-    def apply(self, v: int) -> int:
-        w = 0
-        bits = v
-        while bits:
-            low = bits & -bits
-            w |= 1 << self.perm[low.bit_length() - 1]
-            bits ^= low
-        return w ^ self.mask
-
-    def vertex_table(self) -> tuple[int, ...]:
-        """The induced vertex map as a lookup table over all 2^n labels."""
-        return tuple(self.apply(v) for v in range(1 << self.n))
-
-
-def edge_mapping_automorphism(
-    n: int, src_edge: tuple[int, int], dst_edge: tuple[int, int]
-) -> Automorphism:
-    """An automorphism sending src_edge onto dst_edge, endpoint to endpoint.
-
-    Swap the two differing coordinates in the permutation, then pick the
-    mask that carries the first source endpoint onto the first destination
-    endpoint; the second endpoints line up automatically.
-    """
-    cube = Cube(n)
-    for name, (a, b) in (("src", src_edge), ("dst", dst_edge)):
-        cube.check_vertex(a)
-        cube.check_vertex(b)
-        if not adjacent(a, b):
-            raise ValueError(f"{name} pair is not an edge: {(a, b)}")
-    (a, b), (c, d) = src_edge, dst_edge
-    i = (a ^ b).bit_length() - 1
-    j = (c ^ d).bit_length() - 1
-    perm = list(range(n))
-    perm[i], perm[j] = perm[j], perm[i]
-    partial = Automorphism(n, tuple(perm), 0)
-    return Automorphism(n, tuple(perm), partial.apply(a) ^ c)
-
-
 @lru_cache(maxsize=None)
 def automorphism_vertex_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """Vertex maps of every automorphism of Q_n, as lookup tables.
+    """Vertex maps of all n! * 2^n automorphisms of Q_n, as lookup tables.
 
-    Enumerating the full group is only sane at desk scale (n! * 2^n maps).
+    Table p * 2^n + mask sends bit i of a label to bit perm[i], for the p-th
+    permutation perm of itertools.permutations, then XORs mask: the first
+    table is the identity, and those with table[0] == 0 are the coordinate
+    permutations.  Enumerating the whole group is only sane at desk scale.
     """
     if n > 5:
         raise ValueError(f"full group enumeration is limited to n <= 5, got {n}")
-    size = 1 << n
     tables: list[tuple[int, ...]] = []
     for perm in itertools.permutations(range(n)):
-        base = Automorphism(n, perm, 0).vertex_table()
-        for mask in range(size):
-            tables.append(tuple(b ^ mask for b in base))
+        base = [0]
+        for p in perm:  # step i appends labels 2^i .. 2^(i+1) - 1: the earlier images, with bit perm[i] set
+            base += [b | 1 << p for b in base]
+        tables += [tuple([b ^ mask for b in base]) for mask in range(1 << n)]
     return tuple(tables)

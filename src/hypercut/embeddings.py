@@ -1,12 +1,13 @@
 """Constructive embeddings the cut builders depend on.
 
 Everything here is deterministic: Hamiltonian cycles come from the
-reflected Gray code, a cycle through a prescribed edge is the Gray cycle
-pushed through an edge-mapping automorphism, even cycles of any admissible
-length fold the first l/2 Gray codewords of Q_{n-1} across the last
-coordinate, and odd paths between adjacent vertices are such a cycle minus
-one edge.  Returned cycles are canonicalized: smallest vertex first, then
-its smaller cycle neighbor.
+reflected Gray code, a cycle through a prescribed edge (u, v) is the Gray
+cycle with coordinate 0 swapped for the one u and v differ in, then
+translated by u, even cycles of any admissible length fold the first l/2
+Gray codewords of Q_{n-1} across the last coordinate, and odd paths
+between adjacent vertices are such a cycle minus one edge.  Returned
+cycles are canonicalized: smallest vertex first, then its smaller cycle
+neighbor.
 
 Builders emit only the vertices they return: each lists the coordinates
 its walk crosses, and an automorphism carries the walk one XOR per step,
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from typing import ClassVar
 
-from .core import Cube, adjacent, edge_mapping_automorphism
+from .core import Cube, adjacent
 
 
 def gray_sequence(n: int) -> list[int]:
@@ -180,16 +181,30 @@ def _carry(start: int, perm, coords) -> list[int]:
     return walk
 
 
-def hamiltonian_through_edge(n: int, edge: tuple[int, int]) -> CubeCycle:
-    """A Hamiltonian cycle of Q_n containing the given edge.
+def _swap_onto(n: int, u: int, v: int) -> list[int]:
+    """Coordinate 0 swapped with the one u and v differ in; then XOR with u carries (0, e_0) onto the edge (u, v)."""
+    cube = Cube(n)
+    cube.check_vertex(u)
+    cube.check_vertex(v)
+    if not adjacent(u, v):
+        raise ValueError(f"{u} and {v} are not adjacent")
+    j = (u ^ v).bit_length() - 1
+    perm = list(range(n))
+    perm[0], perm[j] = j, 0
+    return perm
 
-    The Gray cycle contains the edge (0, 1); an edge-mapping automorphism
-    carries its steps onto the target, so no search is ever needed.
+
+def hamiltonian_through_edge(n: int, edge: tuple[int, int]) -> CubeCycle:
+    """A Hamiltonian cycle of Q_n containing the given edge (u, v).
+
+    The Gray cycle starts with the edge (0, e_0); swapping coordinate 0 for
+    the one u and v differ in, then translating by u, carries its steps onto
+    the target, so no search is ever needed.
     """
     if n < 2:
         raise ValueError(f"Hamiltonian cycles need n >= 2, got {n}")
-    sigma = edge_mapping_automorphism(n, (0, 1), edge)
-    walk = _carry(sigma.mask, sigma.perm, _gray_steps(1 << n))
+    u, v = edge
+    walk = _carry(u, _swap_onto(n, u, v), _gray_steps(1 << n))
     cycle = CubeCycle(n, canonical_cycle_orientation(tuple(walk)))
     require_valid(cycle)
     return cycle
@@ -223,21 +238,17 @@ def odd_path_between_adjacent(n: int, u: int, v: int, q: int) -> CubePath:
 
     q = 1 is the bare edge; otherwise the fold of embed_even_cycle(n, q + 1),
     which starts with the edge (0, 1), is walked the long way round from 0
-    to 1, its steps reversed, and carried onto (u, v) by an edge-mapping
-    automorphism, with no cycle built.
+    to 1, its steps reversed, and carried onto (u, v) by the coordinate swap
+    and translation of hamiltonian_through_edge, with no cycle built.
     """
-    Cube(n).check_vertex(u)
-    Cube(n).check_vertex(v)
-    if not adjacent(u, v):
-        raise ValueError(f"{u} and {v} are not adjacent")
+    perm = _swap_onto(n, u, v)
     if q % 2 == 0:
         raise ValueError(f"path length must be odd, got {q}")
     if not 1 <= q <= (1 << n) - 1:
         raise ValueError(f"path length {q} out of range [1, 2^{n} - 1]")
     if q == 1:
         return CubePath(n, (u, v))
-    sigma = edge_mapping_automorphism(n, (0, 1), (u, v))
-    path = CubePath(n, tuple(_carry(u, sigma.perm, _fold_steps(n, q + 1)[:0:-1])))  # backwards, all but (0, 1)
+    path = CubePath(n, tuple(_carry(u, perm, _fold_steps(n, q + 1)[:0:-1])))  # backwards, all but (0, 1)
     require_valid(path)
     return path
 

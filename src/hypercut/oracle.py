@@ -40,7 +40,8 @@ class BudgetError(RuntimeError):
     """The requested search cannot be answered soundly within the budget."""
 
 
-# The largest dimension any search accepts: exhaustive search is out of reach from n = 6.
+# The largest dimension any search accepts.  What holds it at 5: pool_block reads core.automorphism_vertex_tables,
+# which refuses n > 5, and Q6's P7 block alone stands for 522,240 labelled copies, over _COPY_CEILING.
 MAX_SEARCH_DIM = 5
 
 

@@ -1,17 +1,10 @@
 import random
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
-from hypercut.core import (
-    Automorphism,
-    Cube,
-    adjacent,
-    automorphism_vertex_tables,
-    edge_mapping_automorphism,
-    vertex_from_string,
-    vertex_to_string,
-)
+from hypercut.core import Cube, adjacent, automorphism_vertex_tables, vertex_from_string, vertex_to_string
 from hypercut.embeddings import embed_even_cycle, gray_sequence, odd_path_between_adjacent
 
 
@@ -83,108 +76,84 @@ def test_common_neighbors_exhaustive_small():
                     assert len(cube.common_neighbors(u, v)) == 2
 
 
-def test_identity_automorphism():
-    ident = Automorphism(4, tuple(range(4)), 0)
-    assert all(ident.apply(v) == v for v in range(16))
+def _permuted(n, perm, mask):
+    """The automorphism sending bit i of a label to bit perm[i], then XOR mask, as a function, bit by bit."""
+    return lambda w: sum(1 << perm[i] for i in range(n) if w >> i & 1) ^ mask
 
 
-def test_pure_mask_automorphism():
-    sigma = Automorphism(3, (0, 1, 2), 0b111)
-    assert sigma.apply(0) == 7
+def edge_image(n, u, v):
+    """The vertex map carrying the edge (0, e_0) onto the edge (u, v): swap bit 0 with bit j, u ^ v = e_j, then XOR u.
+
+    The reference for the carried walks: it shares no code with the builders' walk carrying.
+    """
+    j = (u ^ v).bit_length() - 1
+    perm = list(range(n))
+    perm[0], perm[j] = j, 0
+    return _permuted(n, perm, u)
 
 
 def test_automorphism_preserves_adjacency_random():
     rng = random.Random(7)
-    n = 6
+    n = 5
+    tables = automorphism_vertex_tables(n)
     for _ in range(200):
-        perm = list(range(n))
-        rng.shuffle(perm)
-        sigma = Automorphism(n, tuple(perm), rng.randrange(1 << n))
+        table = rng.choice(tables)
         for _ in range(50):
             v = rng.randrange(1 << n)
             i = rng.randrange(n)
-            assert adjacent(sigma.apply(v), sigma.apply(v ^ (1 << i)))
+            assert adjacent(table[v], table[v ^ (1 << i)])
 
 
 def test_sampled_automorphisms_map_every_edge_to_an_edge():
     rng = random.Random(13)
-    for n in range(2, 7):
+    for n in range(2, 6):
         cube = Cube(n)
-        for _ in range(10):
-            perm = list(range(n))
-            rng.shuffle(perm)
-            sigma = Automorphism(n, tuple(perm), rng.randrange(1 << n))
-            table = sigma.vertex_table()
+        for table in rng.choices(automorphism_vertex_tables(n), k=10):
             assert sorted(table) == list(range(1 << n))  # bijective
             for u, v in cube.edges():
                 assert adjacent(table[u], table[v])
 
 
+def test_vertex_tables_are_the_group_in_permutation_major_order():
+    # pool_block reads the tables with table[0] == 0 in this order, so the order is part of the contract
+    for n in range(1, 6):
+        tables = automorphism_vertex_tables(n)
+        labels = range(1 << n)
+        perms = [tuple(map(_permuted(n, perm, 0), labels)) for perm in permutations(range(n))]
+        assert tables == tuple(tuple(w ^ mask for w in table) for table in perms for mask in labels)
+        assert tables[0] == tuple(labels)
+        assert [table for table in tables if table[0] == 0] == perms
+        assert len(set(perms)) == len(perms) == len(tables) >> n
+        for table in tables:
+            assert sorted(table) == list(labels)
+            assert all(adjacent(table[u], table[v]) for u, v in Cube(n).edges())
+
+
+def test_vertex_tables_refuse_the_full_group_past_dimension_5():
+    with pytest.raises(ValueError, match="limited to n <= 5"):
+        automorphism_vertex_tables(6)
+
+
 def test_odd_path_is_the_even_cycle_walked_the_long_way_and_mapped_vertex_by_vertex():
     # the reference folds Gray codewords into the whole cycle, walks it from 0 the long way round
-    # to 1, and maps each vertex through apply; the builder carries the fold's steps instead
+    # to 1, and maps each vertex through edge_image; the builder carries the fold's steps instead
     for n in range(2, 5):
         for edge in Cube(n).edges():
             for u, v in (edge, edge[::-1]):
-                sigma = edge_mapping_automorphism(n, (0, 1), (u, v))
+                image = edge_image(n, u, v)
                 assert odd_path_between_adjacent(n, u, v, 1).verts == (u, v)
                 for q in range(3, 1 << n, 2):
                     half = gray_sequence(n - 1)[: (q + 1) // 2]
                     cycle = half + [g | (1 << (n - 1)) for g in reversed(half)]
                     assert embed_even_cycle(n, q + 1).verts == tuple(cycle)
                     long_way = cycle[:1] + cycle[:0:-1]
-                    assert odd_path_between_adjacent(n, u, v, q).verts == tuple(sigma.apply(w) for w in long_way)
+                    assert odd_path_between_adjacent(n, u, v, q).verts == tuple(map(image, long_way))
 
 
 def test_automorphism_group_size_n3():
     tables = automorphism_vertex_tables(3)
     assert len(tables) == 48  # 3! * 2^3
     assert len(set(tables)) == 48
-
-
-def test_automorphism_rejects_bad_perm():
-    with pytest.raises(ValueError):
-        Automorphism(3, (0, 0, 1), 0)
-    with pytest.raises(ValueError):
-        Automorphism(3, (0, 1, 2), 8)
-
-
-def test_edge_mapping_same_edge_is_identity_on_endpoints():
-    sigma = edge_mapping_automorphism(4, (3, 7), (3, 7))
-    assert sigma.apply(3) == 3
-    assert sigma.apply(7) == 7
-
-
-def test_edge_mapping_q3_example():
-    # (000, 100) -> (111, 110): endpoints map and adjacency survives
-    sigma = edge_mapping_automorphism(3, (0, 1), (7, 6))
-    assert sigma.apply(0) == 7
-    assert sigma.apply(1) == 6
-    for v in range(8):
-        for i in range(3):
-            assert adjacent(sigma.apply(v), sigma.apply(v ^ (1 << i)))
-
-
-def test_edge_mapping_composed_with_gray_cycle():
-    # mapping the Gray cycle by an edge automorphism lands the target edge on the image cycle
-    rng = random.Random(11)
-    n = 5
-    base = gray_sequence(n)
-    for _ in range(25):
-        a = rng.randrange(1 << n)
-        b = a ^ (1 << rng.randrange(n))
-        sigma = edge_mapping_automorphism(n, (0, 1), (a, b))
-        image = [sigma.apply(v) for v in base]
-        pos = image.index(a)
-        k = len(image)
-        assert b in (image[(pos + 1) % k], image[(pos - 1) % k])
-
-
-def test_edge_mapping_rejects_non_edges():
-    with pytest.raises(ValueError):
-        edge_mapping_automorphism(3, (0, 3), (0, 1))
-    with pytest.raises(ValueError):
-        edge_mapping_automorphism(3, (0, 1), (2, 7))
 
 
 def test_vertex_string_roundtrip():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from hypercut.analysis import validate_cut
-from hypercut.core import Cube, edge_mapping_automorphism
+from hypercut.core import Cube
 from hypercut.cuts import (
     CubeStar,
     CutFamily,
@@ -22,6 +22,7 @@ from hypercut.embeddings import (
     hamiltonian_through_edge,
 )
 from hypercut.formulas import kappa_cycle, kappa_path
+from test_core import edge_image
 
 
 def test_structure_kind_validation():
@@ -86,8 +87,7 @@ def test_extended_path_matches_the_full_cycle_construction():
     # edge, and keep the k - (2n - 1) vertices after it
     for n in range(4, 11):
         edge = (1 << (n - 2), 0)
-        sigma = edge_mapping_automorphism(n - 1, (0, 1), edge)
-        full = canonical_cycle_orientation(tuple(sigma.apply(g) for g in gray_sequence(n - 1)))
+        full = canonical_cycle_orientation(tuple(map(edge_image(n - 1, *edge), gray_sequence(n - 1))))
         assert hamiltonian_through_edge(n - 1, edge).verts == full
         top = 1 << (n - 1)
         lifted = tuple(v | top for v in full)

@@ -4,7 +4,6 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercut.core import edge_mapping_automorphism
 from hypercut.cuts import _extended_path
 from hypercut.embeddings import (
     CubeCycle,
@@ -18,6 +17,7 @@ from hypercut.embeddings import (
     odd_path_between_adjacent,
     restrict_to_subcube,
 )
+from test_core import edge_image
 
 
 def test_gray_hamiltonian_base_case():
@@ -55,10 +55,9 @@ def test_gray_rejects_small_dimension():
 
 
 def test_gray_walk_from_edge_is_the_mapped_gray_cycle():
-    # the Gray cycle carried onto an edge by edge_mapping_automorphism(...).apply, vertex by vertex
+    # the Gray cycle carried onto an edge by the test-local edge_image, vertex by vertex
     def mapped(n, edge):
-        sigma = edge_mapping_automorphism(n, (0, 1), edge)
-        return [sigma.apply(g) for g in gray_sequence(n)]
+        return list(map(edge_image(n, *edge), gray_sequence(n)))
 
     # every edge, both directions, at n <= 5
     for n in range(2, 6):
