@@ -5,9 +5,9 @@ Vertex sets live in single integers (bit v set = vertex v present).  A
 component grows by passes over the n coordinates, one shift-and-mask
 operation per coordinate, however many vertices move; a pass reaches at
 least as far as a BFS level, and most cut tests settle in two passes.
-That keeps exhaustive sweeps over Q_11 complements and over the C(15, s - 1)
-removal sets of Q_4 that hold vertex 0 cheap.  One sweep serves every
-exhaustive search: the oracle's levels and g-extra connectivity.
+That keeps exhaustive sweeps over Q_11 complements cheap.  One sweep, for
+the oracle's levels and g-extra connectivity, takes a family's first
+element from the orbit starts and its second up to the first's stabiliser.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Callable, Iterable
 
-from .core import Cube
+from .core import Cube, automorphism_vertex_tables
 from .cuts import CutFamily, admissible_shapes
 
 
@@ -164,27 +164,56 @@ def path_neighbor_bound(k: int) -> int:
     return 2 * (k // 3) + k % 3
 
 
-def sweep(masks: list[int], starts: list[int], s: int, is_cut: Callable[[int], bool]) -> tuple[int, ...] | None:
-    """The first family of size s whose union is_cut accepts, as indices into masks; None after the last.
+def sweep(
+    masks: list[int], starts: list[int], tables: list[tuple[int, ...]], s: int, is_cut: Callable[[int], bool]
+) -> tuple[int, ...] | None:
+    """The first family of size s whose union is_cut accepts, as ascending indices into masks; None after the last.
 
-    A family is a start r plus s - 1 indices after r, and its union is the
-    OR of their masks.  Families are tried start by start, in the order
-    given, and for each start in lexicographic order of the rest.  The
-    sweep is exhaustive when some group acts on the masks and preserves
-    is_cut of every union, masks holds each of its orbits as one contiguous
-    run, and starts holds where each run begins.  Take any accepted family:
-    a group element carries its earliest member onto the start of that
-    member's run, and its other members, which lie in that run or later
-    ones, onto masks of those same runs other than the start.  So the image
-    is a family the sweep tries, and it is accepted too.
+    The sweep is exhaustive when masks holds each orbit of a group that
+    keeps is_cut of every union as one contiguous run, and starts holds
+    where each run begins.  The group is the coordinate permutations tables
+    (table[0] == 0) with the translations.  Stab(r) is its (table, x) with
+    table(S_r) ^ x = S_r, for start r's vertex set S_r: x is table(v0) ^ w
+    for the least v0 and some w of S_r.  The indices after r are grouped by
+    Stab(r)-orbit, groups in order of first appearance, each led by its
+    least index.  A family is r, a leader u, and s - 2 indices after u in
+    that order, tried start by start, leader by leader, then in
+    lexicographic order.  At s = 2 each index is its own group: a group
+    costs more mask images than the one cut test it saves.  Take any
+    accepted family: a group element carries its earliest member onto the
+    start r of that member's run, and the others, which lie in that run or
+    later ones, onto indices after r.  Stab(r) keeps each group, so one of
+    its elements carries the member in the earliest group onto that group's
+    leader, and the rest onto indices after it: a family the sweep tries,
+    accepted too.  A run not closed under Stab(r) raises AssertionError.
     """
+    if s == 1:
+        return next(((r,) for r in starts if is_cut(masks[r])), None)
+    runs = {a: {masks[j]: j for j in range(a, b)} for a, b in zip(starts, [*starts[1:], len(masks)])} if s > 2 else {}
     for r in starts:
-        for rest in combinations(range(r + 1, len(masks)), s - 1):
-            union = masks[r]
-            for j in rest:
-                union |= masks[j]
-            if is_cut(union):
-                return (r,) + rest
+        order, heads = range(r + 1, len(masks)), range(len(masks) - r - 1)
+        if s > 2:
+            verts = [v for v in range(len(tables[0])) if masks[r] >> v & 1]
+            stab = [[t ^ x for t in table] for table in tables for x in {table[verts[0]] ^ w for w in verts}
+                    if sum(1 << (table[v] ^ x) for v in verts) == masks[r]]
+            lead: dict[int, int] = {}  # index -> the least index of its group
+            for where in runs.values():
+                for j in (j for j in where.values() if j > r and j not in lead):
+                    members = [v for v in range(len(tables[0])) if masks[j] >> v & 1]
+                    images = {sum(1 << h[v] for v in members) for h in stab}
+                    if not images <= where.keys():
+                        raise AssertionError(f"mask {min(images - where.keys()):#x}, an image of mask"
+                                             f" {masks[j]:#x} under Stab({r}), is not in its run")
+                    lead.update((where[m], j) for m in images)
+            order = sorted(lead, key=lambda j: (lead[j], j))
+            heads = [p for p, j in enumerate(order) if lead[j] == j]
+        for p in heads:
+            for more in combinations(order[p + 1:], s - 2) if s > 2 else [()]:  # combinations copies its pool
+                union = masks[r] | masks[order[p]]
+                for j in more:
+                    union |= masks[j]
+                if is_cut(union):
+                    return (r, *sorted((order[p], *more)))
     return None
 
 
@@ -192,12 +221,12 @@ def g_extra_connectivity(n: int, g: int) -> int:
     """Brute-force minimum removal that disconnects Q_n into components of size >= g + 1.
 
     The sweep over the 2^n one-vertex masks with the single start 0, one
-    removal size after another, so only removal sets that hold vertex 0 are
-    tried, smallest first.  That is exact: the translations x -> x ^ f are
-    a group that keeps every component size and moves vertex 0 onto every
-    vertex, so the masks are one run that begins at 0.  Only sane up to the
-    exhaustive ceiling (C(15, 5) candidates at n = 4 are trivial, n = 5
-    would not be).
+    removal size after another, so only removal sets that hold vertex 0
+    are tried, smallest first, and from size 3 on only up to Stab(0), the
+    coordinate permutations, which group the vertices by weight.  That is
+    exact: the automorphisms keep every component size and move vertex 0
+    onto every vertex, so the masks are one run that begins at 0.  Only
+    sane up to the exhaustive ceiling, n = 4.
     """
     if n > 4:
         raise ValueError(f"dimension {n} above exhaustive ceiling 4")
@@ -208,8 +237,9 @@ def g_extra_connectivity(n: int, g: int) -> int:
         comps = component_masks(n, removed)
         return len(comps) >= 2 and min(c.bit_count() for c in comps) >= g + 1
 
+    tables = automorphism_vertex_tables(n)[:: 1 << n]
     for s in range(1, 1 << n):
-        if sweep([1 << v for v in range(1 << n)], [0], s, separates) is not None:
+        if sweep([1 << v for v in range(1 << n)], [0], tables, s, separates) is not None:
             return s
     raise ValueError(f"no removal of Q_{n} satisfies the g = {g} condition")
 

@@ -15,7 +15,7 @@ rule: the dimension limit bounds level 1, the copy ceiling the pool, and
 the combination ceiling each sweep.  The pool holds each orbit as one
 run, in seed order, with the run starts, and the automorphisms keep "is a
 cut", so analysis.sweep, which takes each family's first element from the
-run starts alone, is exhaustive (its docstring gives the argument).
+run starts and its second up to the first's stabiliser, is exhaustive.
 Before each exhaustive pass, a cheap seeded pass hunts for cuts that
 isolate a fixed vertex or edge, since every known minimum cut here does
 exactly that.
@@ -238,7 +238,7 @@ def pool_block(n: int, shape: str, size: int) -> tuple[tuple[int, ...], tuple[in
     cross its blocks.
     The cache lives for one command: cli.main clears it as it starts.
     """
-    perms = [table for table in automorphism_vertex_tables(n) if table[0] == 0]
+    perms = automorphism_vertex_tables(n)[:: 1 << n]  # the coordinate permutations, table[0] == 0
     shifts = coordinate_shift_masks(n)
     gray = [shifts[i] for i in _gray_steps(1 << n)]
     keys: dict[int, None] = {}  # masks, in insertion order
@@ -369,8 +369,8 @@ def _level_search(
     """Search all families of size s; None only after an exhaustive sweep.
 
     One cut test, memoised for this level, serves the seeded pass and then
-    analysis.sweep over the run starts reps, once the sweep's family count
-    is within _COMBINATION_CEILING.
+    analysis.sweep over the run starts reps and the coordinate permutations,
+    once the sweep's family count is within _COMBINATION_CEILING.
     """
     is_cut = partial(_cut_test, n, {}, stats)
     hit = _seed_level(masks, scorers, s, is_cut)
@@ -381,7 +381,7 @@ def _level_search(
         raise BudgetError(
             f"size-{s} sweep needs about {total} family tests, over the {_COMBINATION_CEILING} ceiling"
         )
-    return sweep(masks, reps, s, is_cut)
+    return sweep(masks, reps, automorphism_vertex_tables(n)[:: 1 << n], s, is_cut)
 
 
 def min_structure_cut(

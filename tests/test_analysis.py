@@ -1,3 +1,4 @@
+from functools import cache
 from itertools import combinations
 
 import pytest
@@ -18,7 +19,7 @@ from hypercut.analysis import (
     validate_cut,
     vertex_mask,
 )
-from hypercut.core import Cube
+from hypercut.core import Cube, automorphism_vertex_tables
 from hypercut.cuts import CubeStar, CutFamily, StructureKind, build_cycle_cut, build_path_cut
 from hypercut.embeddings import CubeCycle, CubePath
 
@@ -268,6 +269,7 @@ def test_g_extra_matches_the_all_subsets_brute_force():
 def test_the_sweep_tries_each_family_from_a_start_once_in_order():
     masks = [1 << i for i in range(7)]  # one bit per index, so a union names its family
     starts, s = [0, 2, 5], 3
+    identity = [tuple(range(8))]  # no coordinate permutation but the identity: each index is its own group
     families = [(r, a, b) for r in starts for a in range(r + 1, 7) for b in range(a + 1, 7)]
     unions = [sum(1 << i for i in family) for family in families]
     seen = []
@@ -276,7 +278,7 @@ def test_the_sweep_tries_each_family_from_a_start_once_in_order():
         seen.append(union)
         return False
 
-    assert sweep(masks, starts, s, nothing) is None
+    assert sweep(masks, starts, identity, s, nothing) is None
     assert seen == unions and len(unions) == 21  # the last start has no two indices after it
     wanted = families[17]
     seen.clear()
@@ -285,38 +287,46 @@ def test_the_sweep_tries_each_family_from_a_start_once_in_order():
         seen.append(union)
         return union == unions[17]
 
-    assert sweep(masks, starts, s, only_wanted) == wanted
+    assert sweep(masks, starts, identity, s, only_wanted) == wanted
     assert seen == unions[:18]
-    assert sweep(masks, starts, s, lambda union: union in (unions[17], unions[-1])) == wanted
+    assert sweep(masks, starts, identity, s, lambda union: union in (unions[17], unions[-1])) == wanted
 
 
-def _g_extra_masks_by_the_removal_loop(n, g):
-    """The removal sets that hold vertex 0, by size, up to the first separating one: g-extra's earlier loop."""
-    seen = []
-    for s in range(1, 1 << n):
-        for rest in combinations(range(1, 1 << n), s - 1):
-            mask = 1 | sum(1 << v for v in rest)
-            seen.append(mask)
-            comps = component_masks(n, mask)
-            if len(comps) >= 2 and min(c.bit_count() for c in comps) >= g + 1:
-                return seen
-    return seen
+def test_the_sweep_raises_when_an_image_under_the_stabiliser_is_missing_from_its_run():
+    masks = [1 << v for v in range(16)]  # Q4's one-vertex masks: one run, whose Stab(0) groups them by weight
+    tables = automorphism_vertex_tables(4)[::16]
+    assert sweep(masks, [0], tables, 3, lambda union: False) is None
+    del masks[8]  # vertex 8, in the weight-1 group led by vertex 1
+    assert sweep(masks, [0], tables, 2, lambda union: False) is None  # s = 2 forms no group
+    with pytest.raises(AssertionError, match=r"^mask 0x100, an image of mask 0x2 under Stab\(0\), is not in its run$"):
+        sweep(masks, [0], tables, 3, lambda union: False)
+
+
+@cache
+def _orbit_key(n, mask):
+    """The least image of a vertex set under the whole group of Q_n, read from the vertex tables alone."""
+    verts = [v for v in range(1 << n) if mask >> v & 1]
+    return min(sum(1 << table[v] for v in verts) for table in automorphism_vertex_tables(n))
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_g_extra_tries_the_removal_sets_of_its_earlier_loop_in_order(monkeypatch, n):
+def test_g_extra_tests_an_image_of_every_removal_set_holding_vertex_0_below_its_answer(monkeypatch, n):
     for g in range(n + 1):
-        seen = []
+        tested = []
 
-        def recording_sweep(masks, starts, s, is_cut):
-            return sweep(masks, starts, s, lambda union: seen.append(union) or is_cut(union))
+        def recording_sweep(masks, starts, tables, s, is_cut):
+            return sweep(masks, starts, tables, s, lambda union: tested.append(union) or is_cut(union))
 
         monkeypatch.setattr(analysis, "sweep", recording_sweep)
         try:
-            g_extra_connectivity(n, g)
+            answer = g_extra_connectivity(n, g)
         except ValueError:
-            pass  # Q3 has no removal for g = 2 or 3: both try every set
-        assert seen == _g_extra_masks_by_the_removal_loop(n, g), (n, g)
+            answer = 1 << n  # Q3 has no removal for g = 2 or 3: every size is swept to its end
+        assert all(mask & 1 for mask in tested) and len(tested) == len(set(tested))
+        keys = {_orbit_key(n, mask) for mask in tested}
+        for s in range(1, answer):
+            for rest in combinations(range(1, 1 << n), s - 1):
+                assert _orbit_key(n, 1 | sum(1 << v for v in rest)) in keys, (n, g, rest)
 
 
 def test_g_extra_rejections():

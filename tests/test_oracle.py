@@ -1,7 +1,9 @@
 from bisect import bisect_right
 from collections import Counter
+from functools import reduce
 from itertools import combinations
 from math import factorial
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -540,14 +542,17 @@ def test_dimension_5_values_match_the_closed_forms():
     pool_block.cache_clear()
 
 
-# pools with no cut of 2, so the size-2 sweep runs to its end: Q3 vertices, Q4 edge substructure
-# (two blocks, vertices and edges), and Q5 P4 structure (1,280 copies in 2 orbits)
-_MISSED_SWEEPS = [(3, StructureKind("vertex", 1), "structure"), (4, StructureKind("edge", 2), "substructure"),
-                  (5, StructureKind("path", 4), "structure")]
+# pools with no cut of s, so the size-s sweep runs to its end.  Pairs: Q3 vertices, Q4 edge substructure
+# (two blocks, vertices and edges), and Q5 P4 structure (1,280 copies in 2 orbits).  Triples: Q3 and Q4
+# vertices, and Q3 P3 substructure (three blocks)
+_MISSED_SWEEPS = [(3, StructureKind("vertex", 1), "structure", 2), (4, StructureKind("edge", 2), "substructure", 2),
+                  (5, StructureKind("path", 4), "structure", 2), (3, StructureKind("vertex", 1), "structure", 3),
+                  (3, StructureKind("path", 3), "substructure", 3), (4, StructureKind("vertex", 1), "structure", 3)]
 
 
-@pytest.mark.parametrize("n,kind,mode", _MISSED_SWEEPS, ids=[f"Q{n}-{k.label()}-{m}" for n, k, m in _MISSED_SWEEPS])
-def test_the_sweep_tests_each_family_from_a_run_start_once_and_as_many_as_its_estimate(monkeypatch, n, kind, mode):
+@pytest.mark.parametrize("n,kind,mode,s", _MISSED_SWEEPS,
+                         ids=[f"Q{n}-{k.label()}-{m}" + "-triples" * (s == 3) for n, k, m, s in _MISSED_SWEEPS])
+def test_the_sweep_tests_each_family_from_a_run_start_once_and_as_many_as_its_estimate(monkeypatch, n, kind, mode, s):
     _, masks, reps = oracle._pool(n, kind, mode)
     tested = []
 
@@ -556,25 +561,29 @@ def test_the_sweep_tests_each_family_from_a_run_start_once_and_as_many_as_its_es
         return False
 
     monkeypatch.setattr(oracle, "_cut_test", record)
-    assert oracle._level_search(n, masks, reps, [], 2, {}) is None  # no seeded candidates: the sweep alone
+    assert oracle._level_search(n, masks, reps, [], s, {}) is None  # no seeded candidates: the sweep alone
     # the families whose first copy is a run start, listed without the sweep's own ranges
     starts = set(reps)
-    families = [masks[i] | masks[j] for i, j in combinations(range(len(masks)), 2) if i in starts]
-    assert sorted(tested) == sorted(families)
+    families = [reduce(or_, (masks[i] for i in family)) for family in combinations(range(len(masks)), s)
+                if family[0] in starts]
+    if s == 2:  # each copy after the start is its own group, so every such pair is tested
+        assert sorted(tested) == sorted(families)
+    assert len(tested) <= len(families)
     # the ceiling estimate counts exactly those families: one below it refuses the sweep
     monkeypatch.setattr(oracle, "_COMBINATION_CEILING", len(families) - 1)
     with pytest.raises(BudgetError, match=f"needs about {len(families)} family tests"):
-        oracle._level_search(n, masks, reps, [], 2, {})
+        oracle._level_search(n, masks, reps, [], s, {})
     if n == 5:
         return  # the group check below would map 818,560 pairs through 3,840 automorphisms
-    # every pair of the pool is an automorphic image of one the sweep tested
+    # the union of every family of the pool is an automorphic image of one the sweep tested
     tables = automorphism_vertex_tables(n)
 
     def orbit_key(mask):
         verts = [v for v in range(1 << n) if mask >> v & 1]
         return min(sum(1 << table[v] for v in verts) for table in tables)
 
-    assert {orbit_key(m) for m in tested} == {orbit_key(a | b) for a, b in combinations(masks, 2)}
+    unions = {reduce(or_, family) for family in combinations(masks, s)}
+    assert {orbit_key(m) for m in tested} == {orbit_key(union) for union in unions}
 
 
 @pytest.mark.parametrize("n,kind,levels,scored", [(5, StructureKind("cycle", 8), 1, [1]),
