@@ -302,6 +302,39 @@ def test_the_sweep_raises_when_an_image_under_the_stabiliser_is_missing_from_its
         sweep(masks, [0], tables, 3, lambda union: False)
 
 
+def _g_extra_masks_by_the_removal_loop(n, g):
+    """The removal sets that hold vertex 0, by size, up to the first separating one: g-extra's earlier loop."""
+    seen = []
+    for s in range(1, 1 << n):
+        for rest in combinations(range(1, 1 << n), s - 1):
+            mask = 1 | sum(1 << v for v in rest)
+            seen.append(mask)
+            comps = component_masks(n, mask)
+            if len(comps) >= 2 and min(c.bit_count() for c in comps) >= g + 1:
+                return seen
+    return seen
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_g_extra_tries_the_removal_sets_of_its_earlier_loop_in_order(monkeypatch, n):
+    """With the identity as the only coordinate permutation, Stab(0) is trivial and the sweep is the earlier loop."""
+    identity = tuple(range(1 << n))
+    monkeypatch.setattr(analysis, "automorphism_vertex_tables", lambda m: [identity] if m == n else None)
+    for g in range(n + 1):
+        seen = []
+
+        def recording_sweep(masks, starts, tables, s, is_cut):
+            assert tables == [identity]
+            return sweep(masks, starts, tables, s, lambda union: seen.append(union) or is_cut(union))
+
+        monkeypatch.setattr(analysis, "sweep", recording_sweep)
+        try:
+            g_extra_connectivity(n, g)
+        except ValueError:
+            pass  # Q3 has no removal for g = 2 or 3: both try every set
+        assert seen == _g_extra_masks_by_the_removal_loop(n, g), (n, g)
+
+
 @cache
 def _orbit_key(n, mask):
     """The least image of a vertex set under the whole group of Q_n, read from the vertex tables alone."""
