@@ -5,17 +5,21 @@ Vertex sets live in single integers (bit v set = vertex v present).  A
 component grows by passes over the n coordinates, one shift-and-mask
 operation per coordinate, however many vertices move; a pass reaches at
 least as far as a BFS level, and most cut tests settle in two passes.
-That keeps exhaustive sweeps over Q_11 complements cheap.  One sweep, for
-the oracle's levels and g-extra connectivity, takes a family's first
-element from the orbit starts and its second up to the first's stabiliser.
+cut_bits turns that around for the sweep's many small complements: one
+int per vertex, one bit per removal, so one big-int operation moves every
+removal of a batch a step.  One sweep, for the oracle's levels and g-extra
+connectivity, takes a family's first element from the orbit starts and its
+second up to the first's stabiliser, and hands its predicate each family
+prefix with every candidate for the last element.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from functools import lru_cache, reduce
+from itertools import combinations, repeat
+from operator import or_, xor
 from typing import Callable, Iterable
 
 from .core import Cube, automorphism_vertex_tables
@@ -92,6 +96,53 @@ def is_disconnecting_mask(n: int, removed_mask: int) -> bool:
     return _grow_component(n, remaining & -remaining, remaining) != remaining
 
 
+# _DIGITS[i][b] is the ASCII binary digit of bit i of the byte b
+_DIGITS = [(b"0" * (1 << i) + b"1" * (1 << i)) * (128 >> i) for i in range(8)]
+
+
+@lru_cache(maxsize=None)
+def _neighbours(n: int) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(v ^ 1 << i for i in range(n)) for v in range(1 << n))
+
+
+def cut_bits(n: int, base: int, cands: list[int]) -> int:
+    """Bit t set iff Q_n minus base | cands[t] is disconnected or has at most one vertex.
+
+    Bit-sliced, the way multi-source BFS runs many searches as one: vertex v
+    holds one int whose bit t says that v survives candidate t.  Packed into
+    little-endian bytes, the last candidate first, byte v >> 3 of every
+    candidate, read as the binary digit of its bit v & 7, spells v's int.
+    Each candidate is seeded at its least survivor, and reach spreads along
+    the cube edges, vertex by vertex in ascending then descending order,
+    until a pass changes nothing.  A candidate is a cut when a survivor is
+    not reached or fewer than two survive.
+    """
+    if not cands:
+        return 0
+    every, width = (1 << len(cands)) - 1, (1 << n) + 7 >> 3
+    data = b"".join(map(int.to_bytes, reversed(cands), repeat(width), repeat("little")))
+    alive = [0 if base >> v & 1 else every ^ int(data[v >> 3::width].translate(_DIGITS[v & 7]), 2)
+             for v in range(1 << n)]
+    reach, unseeded = [], every
+    for a in alive:
+        reach.append(a & unseeded)
+        unseeded &= ~a
+    crowded = reduce(or_, map(xor, alive, reach))  # a second survivor
+    neighbours = _neighbours(n)
+    order = [v for v, a in enumerate(alive) if a]
+    while reach != alive:
+        before = reach.copy()
+        for v in order:
+            got = 0
+            for w in neighbours[v]:
+                got |= reach[w]
+            reach[v] |= got & alive[v]
+        if reach == before:
+            break
+        order.reverse()
+    return reduce(or_, map(xor, alive, reach)) | every ^ crowded
+
+
 def components_after_removal(n: int, removed: Iterable[int]) -> tuple[frozenset[int], ...]:
     """Components of Q_n minus a removed vertex set, sorted small first."""
     cube = Cube(n)
@@ -165,12 +216,16 @@ def path_neighbor_bound(k: int) -> int:
 
 
 def sweep(
-    masks: list[int], starts: list[int], tables: list[tuple[int, ...]], s: int, is_cut: Callable[[int], bool]
+    masks: list[int], starts: list[int], tables: list[tuple[int, ...]], s: int,
+    first_cut: Callable[[int, list[int]], int | None],
 ) -> tuple[int, ...] | None:
-    """The first family of size s whose union is_cut accepts, as ascending indices into masks; None after the last.
+    """The first family of size s whose union is a cut, as ascending indices into masks; None after the last.
 
+    first_cut(base, cands) answers a batch: the least t for which base |
+    cands[t] is a cut, or None.  Each batch is one family prefix, its union
+    base, with every candidate for its last element, in the order below.
     The sweep is exhaustive when masks holds each orbit of a group that
-    keeps is_cut of every union as one contiguous run, and starts holds
+    keeps "is a cut" of every union as one contiguous run, and starts holds
     where each run begins.  The group is the coordinate permutations tables
     (table[0] == 0) with the translations.  Stab(r) is its (table, x) with
     table(S_r) ^ x = S_r, for start r's vertex set S_r: x is table(v0) ^ w
@@ -178,20 +233,23 @@ def sweep(
     Stab(r)-orbit, groups in order of first appearance, each led by its
     least index.  A family is r, a leader u, and s - 2 indices after u in
     that order, tried start by start, leader by leader, then in
-    lexicographic order.  At s = 2 each index is its own group: a group
-    costs more mask images than the one cut test it saves.  Take any
-    accepted family: a group element carries its earliest member onto the
-    start r of that member's run, and the others, which lie in that run or
-    later ones, onto indices after r.  Stab(r) keeps each group, so one of
-    its elements carries the member in the earliest group onto that group's
-    leader, and the rest onto indices after it: a family the sweep tries,
-    accepted too.  A run not closed under Stab(r) raises AssertionError.
+    lexicographic order, so each batch is a run of consecutive families.
+    At s = 2 each index is its own group: a group costs more mask images
+    than the one cut test it saves, and the batch is every index after r.
+    Take any accepted family: a group element carries its earliest member
+    onto the start r of that member's run, and the others, which lie in
+    that run or later ones, onto indices after r.  Stab(r) keeps each
+    group, so one of its elements carries the member in the earliest group
+    onto that group's leader, and the rest onto indices after it: a family
+    the sweep tries, accepted too.  A run not closed under Stab(r) raises
+    AssertionError.  At s = 1 the one batch is the starts.
     """
     if s == 1:
-        return next(((r,) for r in starts if is_cut(masks[r])), None)
+        hit = first_cut(0, [masks[r] for r in starts])
+        return None if hit is None else (starts[hit],)
     runs = {a: {masks[j]: j for j in range(a, b)} for a, b in zip(starts, [*starts[1:], len(masks)])} if s > 2 else {}
     for r in starts:
-        order, heads = range(r + 1, len(masks)), range(len(masks) - r - 1)
+        order, prefixes = range(r + 1, len(masks)), [()]  # prefixes: positions in order; at s = 2 the start alone
         if s > 2:
             verts = [v for v in range(len(tables[0])) if masks[r] >> v & 1]
             stab = [[t ^ x for t in table] for table in tables for x in {table[verts[0]] ^ w for w in verts}
@@ -206,14 +264,17 @@ def sweep(
                                              f" {masks[j]:#x} under Stab({r}), is not in its run")
                     lead.update((where[m], j) for m in images)
             order = sorted(lead, key=lambda j: (lead[j], j))
-            heads = [p for p, j in enumerate(order) if lead[j] == j]
-        for p in heads:
-            for more in combinations(order[p + 1:], s - 2) if s > 2 else [()]:  # combinations copies its pool
-                union = masks[r] | masks[order[p]]
-                for j in more:
-                    union |= masks[j]
-                if is_cut(union):
-                    return (r, *sorted((order[p], *more)))
+            # a leader with s - 3 positions after it, each prefix leaving a candidate for the last element
+            prefixes = ((p, *mid) for p, j in enumerate(order[:-1]) if lead[j] == j
+                        for mid in combinations(range(p + 1, len(order) - 1), s - 3))
+        cands = [masks[j] for j in order]
+        for pos in prefixes:
+            base, at = masks[r], pos[-1] + 1 if pos else 0
+            for q in pos:
+                base |= cands[q]
+            hit = first_cut(base, cands[at:])
+            if hit is not None:
+                return (r, *sorted(order[q] for q in (*pos, at + hit)))
     return None
 
 
@@ -237,9 +298,15 @@ def g_extra_connectivity(n: int, g: int) -> int:
         comps = component_masks(n, removed)
         return len(comps) >= 2 and min(c.bit_count() for c in comps) >= g + 1
 
+    def first_separating(base: int, cands: list[int]) -> int | None:
+        for t, c in enumerate(cands):
+            if separates(base | c):
+                return t
+        return None
+
     tables = automorphism_vertex_tables(n)[:: 1 << n]
     for s in range(1, 1 << n):
-        if sweep([1 << v for v in range(1 << n)], [0], tables, s, separates) is not None:
+        if sweep([1 << v for v in range(1 << n)], [0], tables, s, first_separating) is not None:
             return s
     raise ValueError(f"no removal of Q_{n} satisfies the g = {g} condition")
 

@@ -25,11 +25,6 @@ from typing import ClassVar
 from .core import Cube, adjacent
 
 
-def gray_sequence(n: int) -> list[int]:
-    """All 2^n labels in reflected Gray code order; consecutive entries differ in one bit."""
-    return [m ^ (m >> 1) for m in range(1 << n)]
-
-
 class _Embedded:
     """What paths, cycles and stars share.
 
@@ -163,7 +158,11 @@ def _gray_steps(count: int) -> list[int]:
 
 
 def _fold_steps(n: int, l: int) -> list[int]:
-    """The coordinates crossed around embed_even_cycle(n, l) from 0: out, across n - 1, back, across again."""
+    """The coordinates crossed around an even l-cycle of Q_n from 0, 4 <= l <= 2^n.
+
+    The first l/2 Gray codewords of Q_{n-1} are folded across coordinate
+    n - 1: out along them, across n - 1, back, and across again.
+    """
     half = _gray_steps(l // 2)
     return half + [n - 1] + half[::-1] + [n - 1]
 
@@ -210,33 +209,10 @@ def hamiltonian_through_edge(n: int, edge: tuple[int, int]) -> CubeCycle:
     return cycle
 
 
-def embed_even_cycle(n: int, l: int) -> CubeCycle:
-    """A cycle of length l in Q_n, for any even l with 4 <= l <= 2^n.
-
-    Take the first l/2 codewords g_0..g_{l/2-1} of the Gray order of
-    Q_{n-1} and fold them across coordinate n-1:
-
-        g_0.0, g_1.0, ..., g_{l/2-1}.0, g_{l/2-1}.1, ..., g_1.1, g_0.1
-
-    Consecutive codewords are adjacent and the two columns are matched, so
-    this is always a cycle; at l = 2^n it is the full Gray cycle of Q_n.
-    """
-    if l % 2:
-        raise ValueError(f"cycle length must be even, got {l}")
-    if l < 4:
-        raise ValueError(f"cycle length must be at least 4, got {l}")
-    if l > 1 << n:
-        raise ValueError(f"cycle length {l} exceeds 2^{n} vertices")
-    # already canonical: it starts 0, 1 and ends with 2^(n-1), and 1 < 2^(n-1)
-    cycle = CubeCycle(n, tuple(_carry(0, range(n), _fold_steps(n, l)[:-1])))  # the closing step is implicit
-    require_valid(cycle)
-    return cycle
-
-
 def odd_path_between_adjacent(n: int, u: int, v: int, q: int) -> CubePath:
     """A path of odd length q from u to v, for adjacent u, v and 1 <= q <= 2^n - 1.
 
-    q = 1 is the bare edge; otherwise the fold of embed_even_cycle(n, q + 1),
+    q = 1 is the bare edge; otherwise the folded (q + 1)-cycle of _fold_steps,
     which starts with the edge (0, 1), is walked the long way round from 0
     to 1, its steps reversed, and carried onto (u, v) by the coordinate swap
     and translation of hamiltonian_through_edge, with no cycle built.

@@ -27,9 +27,10 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
+from itertools import repeat
 from typing import Callable, Iterator, Mapping
 
-from .analysis import coordinate_shift_masks, is_disconnecting_mask, neighborhood_vertex_mask, sweep
+from .analysis import coordinate_shift_masks, cut_bits, is_disconnecting_mask, neighborhood_vertex_mask, sweep
 from .core import automorphism_vertex_tables
 from .cuts import CutElement, CutFamily, StructureKind, STRUCTURE, admissible_shapes, at_most_power_of_two
 from .embeddings import CubeCycle, CubePath, CubeStar, _gray_steps
@@ -285,8 +286,8 @@ def _pool(n: int, kind: StructureKind, mode: str) -> tuple[list[str], list[int],
 _COPY_CEILING = 340_000
 
 
-# mask comes last, so each level binds partial(_cut_test, n, memo, stats) positionally: bound by keyword,
-# each call would copy the keywords, which cost oracle-sweep a tenth of its time
+# the seeded pass calls _cut_test once per union, so mask comes last and each level binds
+# partial(_cut_test, n, memo, stats) positionally: bound by keyword, each call would copy the keywords
 def _cut_test(n: int, memo: dict[int, bool], stats: dict[str, int], mask: int) -> bool:
     cached = memo.get(mask)
     if cached is not None:
@@ -296,6 +297,24 @@ def _cut_test(n: int, memo: dict[int, bool], stats: dict[str, int], mask: int) -
     stats["cut_tests"] += 1
     memo[mask] = result
     return result
+
+
+def _first_cut(n: int, memo: dict[int, bool], stats: dict[str, int], base: int, cands: list[int]) -> int | None:
+    """The sweep's batch test: cut_bits decides every union base | cands[t] at once.
+
+    The unions up to the first cut then pass through the memo in order, so
+    the counts and the memo end as _cut_test on each in turn leaves them.
+    """
+    bits = cut_bits(n, base, cands)
+    walked = cands[:(bits & -bits).bit_length()] if bits else cands
+    before = len(memo)
+    memo.update(zip(map(base.__or__, walked), repeat(False)))
+    stats["cut_tests"] += len(memo) - before
+    stats["memo_hits"] += len(walked) - (len(memo) - before)
+    if not bits:
+        return None
+    memo[base | walked[-1]] = True
+    return len(walked) - 1
 
 
 def _single_cut(n: int, shapes: tuple[tuple[str, int], ...], stats: dict[str, int]) -> CutElement | None:
@@ -368,12 +387,13 @@ def _level_search(
 ) -> tuple[int, ...] | None:
     """Search all families of size s; None only after an exhaustive sweep.
 
-    One cut test, memoised for this level, serves the seeded pass and then
-    analysis.sweep over the run starts reps and the coordinate permutations,
-    once the sweep's family count is within _COMBINATION_CEILING.
+    One memo, for this level, serves the seeded pass's one-union cut test
+    and then the batch test of analysis.sweep over the run starts reps and
+    the coordinate permutations, once the sweep's family count is within
+    _COMBINATION_CEILING.
     """
-    is_cut = partial(_cut_test, n, {}, stats)
-    hit = _seed_level(masks, scorers, s, is_cut)
+    memo: dict[int, bool] = {}
+    hit = _seed_level(masks, scorers, s, partial(_cut_test, n, memo, stats))
     if hit:
         return hit
     total = sum(math.comb(len(masks) - r - 1, s - 1) for r in reps)
@@ -381,7 +401,7 @@ def _level_search(
         raise BudgetError(
             f"size-{s} sweep needs about {total} family tests, over the {_COMBINATION_CEILING} ceiling"
         )
-    return sweep(masks, reps, automorphism_vertex_tables(n)[:: 1 << n], s, is_cut)
+    return sweep(masks, reps, automorphism_vertex_tables(n)[:: 1 << n], s, partial(_first_cut, n, memo, stats))
 
 
 def min_structure_cut(

@@ -9,7 +9,7 @@ import pytest
 
 from hypercut.analysis import MALFORMED, validate_cut
 from hypercut.cuts import SUBSTRUCTURE, CutFamily, StructureKind
-from hypercut.embeddings import CubePath, CubeStar, embed_even_cycle, gray_sequence
+from hypercut.embeddings import CubeCycle, CubePath, CubeStar
 from hypercut.oracle import enumerate_copies
 
 CASES = [
@@ -34,7 +34,13 @@ MODES = ("structure", "substructure")
 
 
 def _path(n, m):
-    return CubePath(n, tuple(gray_sequence(n)[:m]))
+    return CubePath(n, tuple(v ^ (v >> 1) for v in range(m)))  # the first m Gray codewords
+
+
+def _cycle(n, l):
+    """The first l/2 Gray codewords of Q_(n-1), out and back across coordinate n - 1."""
+    half = [v ^ (v >> 1) for v in range(l // 2)]
+    return CubeCycle(n, tuple(half + [g | (1 << (n - 1)) for g in reversed(half)]))
 
 
 def _star(n, r):
@@ -56,7 +62,7 @@ def _one_size_too_large(n, kind, mode):
         return [_path(n, k + 1)]
     sub = mode == SUBSTRUCTURE
     if kind.name == "cycle":
-        longer = [embed_even_cycle(n, k + 2)] if k + 2 <= 1 << n else []
+        longer = [_cycle(n, k + 2)] if k + 2 <= 1 << n else []
         return longer + ([_path(n, k + 1)] if sub else [])
     bigger = [_star(n, k + 1)] if k + 1 <= n else []
     return bigger + ([_path(n, 3)] if sub else [])  # path elements of star families stop at K1,1
@@ -91,7 +97,7 @@ def test_one_size_too_large_is_malformed(n, kind, mode):
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("n,kind", CASES, ids=IDS)
 def test_shape_outside_the_family_is_malformed(n, kind, mode):
-    samples = {"path": _path(n, 1), "cycle": embed_even_cycle(n, 4), "star": _star(n, 2)}
+    samples = {"path": _path(n, 1), "cycle": _cycle(n, 4), "star": _star(n, 2)}
     outside = _outside_shapes(kind, mode)
     assert outside
     for shape in outside:

@@ -4,13 +4,14 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercut import analysis
+from hypercut import analysis, oracle
 from hypercut.analysis import (
     MALFORMED,
     NOT_A_CUT,
     VALID_CUT,
     component_masks,
     components_after_removal,
+    cut_bits,
     g_extra_connectivity,
     is_disconnecting_mask,
     path_neighbor_bound,
@@ -266,40 +267,134 @@ def test_g_extra_matches_the_all_subsets_brute_force():
     assert defined == 8  # Q2 g = 0, Q3 g = 0 and 1, Q4 g = 0..4
 
 
+def _recording(first_cut, seen):
+    """first_cut, recording each union it is asked about up to the first it accepts."""
+
+    def batch(base, cands):
+        hit = first_cut(base, cands)
+        seen.extend(base | c for c in cands[: len(cands) if hit is None else hit + 1])
+        return hit
+
+    return batch
+
+
+def _first_accepted(accepts):
+    """The batch predicate of the one-union predicate accepts: the first candidate whose union it accepts."""
+    return lambda base, cands: next((t for t, c in enumerate(cands) if accepts(base | c)), None)
+
+
 def test_the_sweep_tries_each_family_from_a_start_once_in_order():
     masks = [1 << i for i in range(7)]  # one bit per index, so a union names its family
     starts, s = [0, 2, 5], 3
     identity = [tuple(range(8))]  # no coordinate permutation but the identity: each index is its own group
     families = [(r, a, b) for r in starts for a in range(r + 1, 7) for b in range(a + 1, 7)]
     unions = [sum(1 << i for i in family) for family in families]
-    seen = []
+    batches = []
 
-    def nothing(union):
-        seen.append(union)
-        return False
+    def nothing(base, cands):
+        batches.append((base, cands))
+        return None
 
     assert sweep(masks, starts, identity, s, nothing) is None
-    assert seen == unions and len(unions) == 21  # the last start has no two indices after it
+    # one batch per start and leader with a later index: the leader's union, then every later index
+    assert batches == [((1 << r) | (1 << a), masks[a + 1:]) for r in starts for a in range(r + 1, 6)]
+    assert [base | c for base, cands in batches for c in cands] == unions and len(unions) == 21
     wanted = families[17]
-    seen.clear()
-
-    def only_wanted(union):
-        seen.append(union)
-        return union == unions[17]
-
-    assert sweep(masks, starts, identity, s, only_wanted) == wanted
+    seen = []
+    only_wanted = _first_accepted(lambda union: union == unions[17])
+    assert sweep(masks, starts, identity, s, _recording(only_wanted, seen)) == wanted
     assert seen == unions[:18]
-    assert sweep(masks, starts, identity, s, lambda union: union in (unions[17], unions[-1])) == wanted
+    assert sweep(masks, starts, identity, s, _first_accepted(lambda union: union in (unions[17], unions[-1]))) == wanted
+
+
+def test_the_sweep_hands_pairs_one_batch_a_start_and_singles_one_batch_of_starts():
+    masks = [1 << i for i in range(7)]
+    starts, identity = [0, 2, 5], [tuple(range(8))]
+    batches = []
+
+    def nothing(base, cands):
+        batches.append((base, cands))
+        return None
+
+    assert sweep(masks, starts, identity, 2, nothing) is None
+    assert batches == [(1 << r, masks[r + 1:]) for r in starts]
+    batches.clear()
+    assert sweep(masks, starts, identity, 1, nothing) is None
+    assert batches == [(0, [masks[r] for r in starts])]
+    assert sweep(masks, starts, identity, 2, lambda base, cands: 1 if base == 4 else None) == (2, 4)
+    assert sweep(masks, starts, identity, 1, lambda base, cands: 2) == (5,)
 
 
 def test_the_sweep_raises_when_an_image_under_the_stabiliser_is_missing_from_its_run():
     masks = [1 << v for v in range(16)]  # Q4's one-vertex masks: one run, whose Stab(0) groups them by weight
     tables = automorphism_vertex_tables(4)[::16]
-    assert sweep(masks, [0], tables, 3, lambda union: False) is None
+    assert sweep(masks, [0], tables, 3, lambda base, cands: None) is None
     del masks[8]  # vertex 8, in the weight-1 group led by vertex 1
-    assert sweep(masks, [0], tables, 2, lambda union: False) is None  # s = 2 forms no group
+    assert sweep(masks, [0], tables, 2, lambda base, cands: None) is None  # s = 2 forms no group
     with pytest.raises(AssertionError, match=r"^mask 0x100, an image of mask 0x2 under Stab\(0\), is not in its run$"):
-        sweep(masks, [0], tables, 3, lambda union: False)
+        sweep(masks, [0], tables, 3, lambda base, cands: None)
+
+
+def _plain_is_cut(n, removed):
+    """Q_n minus removed is disconnected or has at most one vertex, by a BFS over a vertex set."""
+    rest = {v for v in range(1 << n) if not removed >> v & 1}
+    if len(rest) <= 1:
+        return True
+    todo = [min(rest)]
+    seen = set(todo)
+    while todo:
+        v = todo.pop()
+        for w in (v ^ (1 << i) for i in range(n)):
+            if w in rest and w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen != rest
+
+
+def _kernel_pools(n):
+    if n == 5:
+        yield from ((kind, "substructure") for kind in (StructureKind("path", 4), StructureKind("cycle", 4)))
+        return
+    kinds = [StructureKind("vertex", 1), StructureKind("edge", 2)] + [StructureKind("star", r) for r in range(2, n + 1)]
+    kinds += [StructureKind("path", k) for k in range(3, 9)] + [StructureKind("cycle", k) for k in (4, 6, 8)]
+    yield from ((kind, mode) for kind in kinds for mode in ("structure", "substructure"))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_cut_bits_matches_a_plain_bfs_on_every_union_of_the_pair_sweep(n):
+    """Every Q3 and Q4 pool, and Q5 P4 and C4 substructure: each run start with every later vertex set."""
+    is_cut = cache(lambda union: _plain_is_cut(n, union))
+    cuts = unions = 0
+    for kind, mode in _kernel_pools(n):
+        _, masks, reps = oracle._pool(n, kind, mode)
+        for r in reps:
+            cands = masks[r + 1:]
+            want = sum(1 << t for t, c in enumerate(cands) if is_cut(masks[r] | c))
+            assert cut_bits(n, masks[r], cands) == want, (kind, mode, r)
+            cuts += want.bit_count()
+            unions += len(cands)
+    # both answers occur at n = 3, 4; no two Q5 P4 or C4 substructure elements cut Q5
+    assert 0 < cuts < unions if n < 5 else cuts == 0 < unions
+    oracle.pool_block.cache_clear()
+
+
+def test_cut_bits_edge_cases():
+    assert cut_bits(4, 0b1011, []) == 0
+    # an empty base: nothing, one vertex, N(0), and every vertex but 0 and 15
+    cands = [0, 1, 0b1_0001_0110, ((1 << 16) - 1) ^ 1 ^ (1 << 15)]
+    assert cut_bits(4, 0, cands) == 0b1100 == sum(_plain_is_cut(4, c) << t for t, c in enumerate(cands))
+    everything = (1 << 16) - 1
+    # unions leaving exactly vertex 6, leaving nothing, and leaving the edge {6, 7}
+    base = everything ^ (1 << 6) ^ (1 << 7)
+    assert cut_bits(4, base, [1 << 7, 1 << 6 | 1 << 7, 0]) == 0b011
+    assert cut_bits(3, 0, [0b11111111]) == 1
+
+
+def test_g_extra_grows_components_only_up_to_the_first_separating_removal_set(monkeypatch):
+    calls = []
+    monkeypatch.setattr(analysis, "component_masks", lambda n, mask: calls.append(mask) or component_masks(n, mask))
+    assert [g_extra_connectivity(4, g) for g in range(5)] == [4, 6, 6, 6, 6]
+    assert len(calls) == 6900
 
 
 def _g_extra_masks_by_the_removal_loop(n, g):
@@ -323,9 +418,9 @@ def test_g_extra_tries_the_removal_sets_of_its_earlier_loop_in_order(monkeypatch
     for g in range(n + 1):
         seen = []
 
-        def recording_sweep(masks, starts, tables, s, is_cut):
+        def recording_sweep(masks, starts, tables, s, first_cut):
             assert tables == [identity]
-            return sweep(masks, starts, tables, s, lambda union: seen.append(union) or is_cut(union))
+            return sweep(masks, starts, tables, s, _recording(first_cut, seen))
 
         monkeypatch.setattr(analysis, "sweep", recording_sweep)
         try:
@@ -347,8 +442,8 @@ def test_g_extra_tests_an_image_of_every_removal_set_holding_vertex_0_below_its_
     for g in range(n + 1):
         tested = []
 
-        def recording_sweep(masks, starts, tables, s, is_cut):
-            return sweep(masks, starts, tables, s, lambda union: tested.append(union) or is_cut(union))
+        def recording_sweep(masks, starts, tables, s, first_cut):
+            return sweep(masks, starts, tables, s, _recording(first_cut, tested))
 
         monkeypatch.setattr(analysis, "sweep", recording_sweep)
         try:

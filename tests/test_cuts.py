@@ -18,7 +18,6 @@ from hypercut.cuts import (
 )
 from hypercut.embeddings import (
     canonical_cycle_orientation,
-    gray_sequence,
     hamiltonian_through_edge,
 )
 from hypercut.formulas import kappa_cycle, kappa_path
@@ -87,7 +86,8 @@ def test_extended_path_matches_the_full_cycle_construction():
     # edge, and keep the k - (2n - 1) vertices after it
     for n in range(4, 11):
         edge = (1 << (n - 2), 0)
-        full = canonical_cycle_orientation(tuple(map(edge_image(n - 1, *edge), gray_sequence(n - 1))))
+        gray = [m ^ (m >> 1) for m in range(1 << (n - 1))]
+        full = canonical_cycle_orientation(tuple(map(edge_image(n - 1, *edge), gray)))
         assert hamiltonian_through_edge(n - 1, edge).verts == full
         top = 1 << (n - 1)
         lifted = tuple(v | top for v in full)

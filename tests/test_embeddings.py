@@ -4,15 +4,15 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypercut.cuts import _extended_path
+from hypercut.cuts import _extended_path, build_cycle_cut
 from hypercut.embeddings import (
     CubeCycle,
     CubePath,
     CubeStar,
+    _carry,
+    _fold_steps,
     _gray_steps,
     canonical_cycle_orientation,
-    embed_even_cycle,
-    gray_sequence,
     hamiltonian_through_edge,
     odd_path_between_adjacent,
     restrict_to_subcube,
@@ -20,21 +20,26 @@ from hypercut.embeddings import (
 from test_core import edge_image
 
 
+def _gray(n):
+    """The reflected Gray code of Q_n, read off m ^ (m >> 1)."""
+    return [m ^ (m >> 1) for m in range(1 << n)]
+
+
 def test_gray_hamiltonian_base_case():
-    assert gray_sequence(2) == [0, 1, 3, 2]  # 00, 10, 11, 01
+    assert hamiltonian_through_edge(2, (0, 1)).verts == (0, 1, 3, 2)  # 00, 10, 11, 01
 
 
 def test_gray_hamiltonian_invariants():
     for n in (2, 3, 10):
-        cycle = CubeCycle(n, tuple(gray_sequence(n)))
+        cycle = hamiltonian_through_edge(n, (0, 1))  # the Gray cycle itself: no swap, no translation
         assert cycle.violation() is None
-        assert len(cycle.verts) == 1 << n
+        assert cycle.verts == tuple(_gray(n))
         assert len(set(cycle.verts)) == 1 << n
 
 
 def test_gray_successive_xor_is_power_of_two():
     for n in range(2, 11):
-        seq = gray_sequence(n)
+        seq = list(hamiltonian_through_edge(n, (0, 1)).verts)
         for a, b in zip(seq, seq[1:] + seq[:1]):
             step = a ^ b
             assert step and step & (step - 1) == 0
@@ -42,7 +47,7 @@ def test_gray_successive_xor_is_power_of_two():
 
 def test_gray_steps_are_the_coordinates_the_gray_sequence_crosses():
     for n in range(9):
-        seq = gray_sequence(n)
+        seq = _gray(n)
         crossed = [(a ^ b).bit_length() - 1 for a, b in zip(seq, seq[1:])]
         assert _gray_steps(1 << n) == crossed
         for count in range(1, (1 << n) + 1):
@@ -57,7 +62,7 @@ def test_gray_rejects_small_dimension():
 def test_gray_walk_from_edge_is_the_mapped_gray_cycle():
     # the Gray cycle carried onto an edge by the test-local edge_image, vertex by vertex
     def mapped(n, edge):
-        return list(map(edge_image(n, *edge), gray_sequence(n)))
+        return list(map(edge_image(n, *edge), _gray(n)))
 
     # every edge, both directions, at n <= 5
     for n in range(2, 6):
@@ -128,38 +133,15 @@ def test_hamiltonian_through_edge_rejects_non_edge():
         hamiltonian_through_edge(3, (0, 3))
 
 
-def test_embed_even_cycle_q3_l6():
-    cycle = embed_even_cycle(3, 6)
-    assert cycle.violation() is None
-    assert len(cycle.verts) == 6
-
-
-def test_embed_even_cycle_full_length_matches_gray():
-    for n in range(2, 7):
-        assert len(embed_even_cycle(n, 1 << n).verts) == len(gray_sequence(n))
-
-
-def test_embed_even_cycle_q4_l10():
-    cycle = embed_even_cycle(4, 10)
-    assert cycle.violation() is None
-    assert len(set(cycle.verts)) == 10
-
-
-def test_embed_even_cycle_every_admissible_length():
+def test_fold_steps_trace_an_even_cycle_of_every_admissible_length():
+    # from 0, the fold's steps visit l distinct vertices and the last one returns to 0
     for n in range(2, 9):
         for l in range(4, (1 << n) + 1, 2):
-            cycle = embed_even_cycle(n, l)
+            walk = _carry(0, range(n), _fold_steps(n, l))
+            assert walk[-1] == 0
+            cycle = CubeCycle(n, tuple(walk[:-1]))
             assert cycle.violation() is None
             assert len(cycle.verts) == l
-
-
-def test_embed_even_cycle_rejections():
-    with pytest.raises(ValueError):
-        embed_even_cycle(4, 7)
-    with pytest.raises(ValueError):
-        embed_even_cycle(4, 2)
-    with pytest.raises(ValueError):
-        embed_even_cycle(3, 10)
 
 
 def test_odd_path_length_one():
@@ -286,17 +268,19 @@ def test_all_cycles_have_even_length():
     # bipartiteness: no constructor can produce an odd cycle
     assert CubeCycle(3, (0, 1, 3)).violation() is not None
     for n in range(2, 6):
-        assert len(gray_sequence(n)) % 2 == 0
-        for l in range(4, (1 << n) + 1, 2):
-            assert len(embed_even_cycle(n, l).verts) % 2 == 0
+        assert len(hamiltonian_through_edge(n, (0, 1)).verts) % 2 == 0
+    for n in range(5, 9):
+        for k in range(6, min(1 << (n - 2), 64) + 1, 2):
+            assert all(len(el.verts) % 2 == 0 for el in build_cycle_cut(n, k).elements)
 
 
 def test_cycle_canonical_orientation():
-    for n in range(2, 7):
-        for l in range(4, min(1 << n, 64) + 1, 2):
-            verts = embed_even_cycle(n, l).verts
-            assert verts[0] == min(verts)
-            assert verts[1] < verts[-1]
+    for n in range(2, 6):
+        for a in range(1 << n):
+            for i in range(n):
+                verts = hamiltonian_through_edge(n, (a, a ^ (1 << i))).verts
+                assert verts[0] == min(verts)
+                assert verts[1] < verts[-1]
 
 
 def test_path_violations_reported():

@@ -556,11 +556,11 @@ def test_the_sweep_tests_each_family_from_a_run_start_once_and_as_many_as_its_es
     _, masks, reps = oracle._pool(n, kind, mode)
     tested = []
 
-    def record(n, memo, stats, mask):
-        tested.append(mask)
-        return False
+    def record(n, memo, stats, base, cands):  # the sweep's batch test, answering no for every union
+        tested.extend(base | c for c in cands)
+        return None
 
-    monkeypatch.setattr(oracle, "_cut_test", record)
+    monkeypatch.setattr(oracle, "_first_cut", record)
     assert oracle._level_search(n, masks, reps, [], s, {}) is None  # no seeded candidates: the sweep alone
     # the families whose first copy is a run start, listed without the sweep's own ranges
     starts = set(reps)
@@ -584,6 +584,25 @@ def test_the_sweep_tests_each_family_from_a_run_start_once_and_as_many_as_its_es
 
     unions = {reduce(or_, family) for family in combinations(masks, s)}
     assert {orbit_key(m) for m in tested} == {orbit_key(union) for union in unions}
+
+
+@pytest.mark.parametrize("stop", [4, 6], ids=["no-cut", "cut-at-4"])
+def test_the_batch_cut_test_counts_and_memoises_as_the_one_union_test_in_turn(stop):
+    # base removes vertices 1, 2 and 4 of Q4, so adding vertex 8, the last neighbour of 0, cuts it off
+    base = 0b10110
+    cands = [1 << 3, 1 << 5, 1 << 3, 1 << 1, 1 << 8, 1 << 9][:stop]  # a repeat, and a union equal to base
+
+    def in_turn(memo, stats):
+        return next((t for t, c in enumerate(cands) if oracle._cut_test(4, memo, stats, base | c)), None)
+
+    sides = []
+    for test in (in_turn, lambda memo, stats: oracle._first_cut(4, memo, stats, base, cands)):
+        memo, stats = {}, {"cut_tests": 0, "memo_hits": 0}
+        oracle._cut_test(4, memo, stats, base | 1 << 5)  # a union the seeded pass already tested
+        sides.append((test(memo, stats), memo, stats))
+    assert sides[0] == sides[1]
+    assert sides[1][0] == (None if stop == 4 else 4)
+    assert sides[1][2] == {"cut_tests": 3 if stop == 4 else 4, "memo_hits": 2}  # the seeded union counted too
 
 
 @pytest.mark.parametrize("n,kind,levels,scored", [(5, StructureKind("cycle", 8), 1, [1]),
