@@ -10,7 +10,10 @@ int per vertex, one bit per removal, so one big-int operation moves every
 removal of a batch a step.  One sweep, for the oracle's levels and g-extra
 connectivity, takes a family's first element from the orbit starts and its
 second up to the first's stabiliser, and hands its predicate each family
-prefix with every candidate for the last element.
+prefix with every candidate for the last element.  g-extra connectivity is
+nondecreasing in g, so one climb over the removal sizes answers every g of
+Q_n: each level is swept for the least g without an answer, again after a
+hit, and a miss moves up a level.
 """
 
 from __future__ import annotations
@@ -281,34 +284,58 @@ def sweep(
 def g_extra_connectivity(n: int, g: int) -> int:
     """Brute-force minimum removal that disconnects Q_n into components of size >= g + 1.
 
-    The sweep over the 2^n one-vertex masks with the single start 0, one
-    removal size after another, so only removal sets that hold vertex 0
-    are tried, smallest first, and from size 3 on only up to Stab(0), the
-    coordinate permutations, which group the vertices by weight.  That is
-    exact: the automorphisms keep every component size and move vertex 0
-    onto every vertex, so the masks are one run that begins at 0.  Only
-    sane up to the exhaustive ceiling, n = 4.
+    Read from one climb over the removal sizes that answers every g of Q_n
+    at once (_g_extra_climb), kept per n: a removal whose components all
+    have g + 1 vertices or more works for every smaller g too, so the
+    answer never falls as g grows, and each level is swept for the least g
+    still open.  Only sane up to the exhaustive ceiling, n = 4.
     """
     if n > 4:
         raise ValueError(f"dimension {n} above exhaustive ceiling 4")
     if not 0 <= g <= n:
         raise ValueError(f"g must be in [0, {n}], got {g}")
+    value = _g_extra_climb(n)[g]
+    if value is None:
+        raise ValueError(f"no removal of Q_{n} satisfies the g = {g} condition")
+    return value
 
-    def separates(removed: int) -> bool:
-        comps = component_masks(n, removed)
-        return len(comps) >= 2 and min(c.bit_count() for c in comps) >= g + 1
 
-    def first_separating(base: int, cands: list[int]) -> int | None:
-        for t, c in enumerate(cands):
-            if separates(base | c):
-                return t
-        return None
+@lru_cache(maxsize=None)
+def _g_extra_climb(n: int) -> tuple[int | None, ...]:
+    """kappa_0 .. kappa_n of Q_n, None where no removal works, from one climb over the removal sizes.
 
+    Level s is the sweep over the 2^n one-vertex masks with the single
+    start 0, so only removal sets that hold vertex 0 are tried, and from
+    size 3 on only up to Stab(0), the coordinate permutations, which group
+    the vertices by weight.  That is exact: the automorphisms keep every
+    component size and move vertex 0 onto every vertex, so the masks are
+    one run that begins at 0.  The climb starts at s = 1 and sweeps each
+    level for the least g without an answer.  A hit whose least component
+    has m vertices answers every g below m with s, and the same level is
+    swept again for the next g; a miss moves up one level.  No level below
+    kappa_g holds a removal for g, so none holds one for a larger g either.
+    """
     tables = automorphism_vertex_tables(n)[:: 1 << n]
-    for s in range(1, 1 << n):
-        if sweep([1 << v for v in range(1 << n)], [0], tables, s, first_separating) is not None:
-            return s
-    raise ValueError(f"no removal of Q_{n} satisfies the g = {g} condition")
+    masks = [1 << v for v in range(1 << n)]
+    answers: list[int | None] = []
+    s = 1
+    while len(answers) <= n and s < 1 << n:
+        g, least = len(answers), []
+
+        def first_separating(base: int, cands: list[int]) -> int | None:
+            for t, c in enumerate(cands):
+                comps = component_masks(n, base | c)
+                if len(comps) >= 2 and (smallest := min(map(int.bit_count, comps))) > g:
+                    least.append(smallest)
+                    return t
+            return None
+
+        if sweep(masks, [0], tables, s, first_separating) is None:
+            s += 1
+        else:
+            answers.extend([s] * (least[0] - g))
+    answers += [None] * (n + 1 - len(answers))
+    return tuple(answers[: n + 1])
 
 
 def scan_distance2_common_neighbors(n: int) -> int:

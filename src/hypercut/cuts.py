@@ -210,8 +210,10 @@ def _long_cycle(n: int, k: int) -> CubeCycle:
 
     The spine runs e_0 .. e_{n-1}; an odd path of length q = k - (2n - 1)
     from e_{n-1} to e_0|e_{n-1} inside the subcube x^{n-2} = 0, x^{n-1} = 1
-    closes it back to e_0.  It is odd_path_between_adjacent(n - 2, 0, 1, q)
-    lifted by e_{n-1}, carried straight from the fold's steps into the cycle.
+    closes it back to e_0.  That path is the folded (q + 1)-cycle of
+    _fold_steps(n - 2, q + 1), which starts with the edge (0, e_0), walked
+    backwards with that edge left out, and _carry runs its steps from e_{n-1}
+    with the coordinates in place, straight into the cycle.
     """
     verts = _spine(0, n)
     q = k - (2 * n - 1)

@@ -46,14 +46,16 @@ class _Embedded:
             self.__dict__["_reason"] = self._check()
         return self.__dict__["_reason"]
 
-    def _violation(self, pairs) -> str | None:
-        """The shared checks: labels in range, distinct, and every pair from pairs() adjacent.
+    def _violation(self, pairs, count: int) -> str | None:
+        """The shared checks: labels in range, distinct, and each of the count pairs from pairs() adjacent.
 
         Range and distinctness are read off the sorted labels: a sorted list
         takes 8 bytes a label, a set of them 32 to 48 while it grows, and the
-        long elements of a cut at n = 18 have over 10^5 labels.  Adjacency is
-        one C-level pass over the two iterables pairs() returns; only when it
-        fails does a Python loop walk fresh ones to name the first bad pair.
+        long elements of a cut at n = 18 have over 10^5 labels.  Distinct
+        labels differ in at least one bit, so the pairs are all adjacent
+        exactly when their XORs hold count bits in all: one C-level sum over
+        the two iterables pairs() returns.  Only when it fails does a Python
+        loop walk fresh ones to name the first bad pair.
         """
         ordered = sorted(self.verts)
         for v in ordered[:1] + ordered[-1:]:
@@ -61,7 +63,7 @@ class _Embedded:
                 return f"label {v} out of range for dimension {self.n}"
         if not all(map(operator.lt, ordered, islice(ordered, 1, None))):
             return "vertices are not distinct"
-        if all(map((1).__eq__, map(int.bit_count, map(operator.xor, *pairs())))):
+        if sum(map(int.bit_count, map(operator.xor, *pairs()))) == count:
             return None
         return next(f"vertices {a} and {b} are not adjacent" for a, b in zip(*pairs()) if (a ^ b).bit_count() != 1)
 
@@ -84,7 +86,7 @@ class CubePath(_Embedded):
     def _check(self) -> str | None:
         if not self.verts:
             return "path has no vertices"
-        return self._violation(lambda: (self.verts, islice(self.verts, 1, None)))
+        return self._violation(lambda: (self.verts, islice(self.verts, 1, None)), len(self.verts) - 1)
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,8 @@ class CubeCycle(_Embedded):
         if len(self.verts) % 2:
             return "odd cycle cannot embed in a bipartite graph"
         # consecutive pairs and the closing pair, without copying a long tuple
-        return self._violation(lambda: (self.verts, chain(islice(self.verts, 1, None), self.verts[:1])))
+        return self._violation(lambda: (self.verts, chain(islice(self.verts, 1, None), self.verts[:1])),
+                               len(self.verts))
 
 
 @dataclass(frozen=True)
@@ -121,7 +124,7 @@ class CubeStar(_Embedded):
             return "a star needs at least 2 leaves (smaller stars are paths)"
         if tuple(sorted(self.leaves)) != self.leaves:
             return "leaves must be sorted"
-        return self._violation(lambda: (repeat(self.center), self.leaves))
+        return self._violation(lambda: (repeat(self.center), self.leaves), len(self.leaves))
 
     @property
     def size(self) -> int:

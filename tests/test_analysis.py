@@ -390,44 +390,60 @@ def test_cut_bits_edge_cases():
     assert cut_bits(3, 0, [0b11111111]) == 1
 
 
-def test_g_extra_grows_components_only_up_to_the_first_separating_removal_set(monkeypatch):
+@pytest.fixture
+def fresh_climb():
+    """An empty g-extra climb cache before the test and after it, so no climb leaks in or out."""
+    analysis._g_extra_climb.cache_clear()
+    yield
+    analysis._g_extra_climb.cache_clear()
+
+
+def test_g_extra_grows_components_only_up_to_the_first_separating_removal_set(monkeypatch, fresh_climb):
     calls = []
     monkeypatch.setattr(analysis, "component_masks", lambda n, mask: calls.append(mask) or component_masks(n, mask))
     assert [g_extra_connectivity(4, g) for g in range(5)] == [4, 6, 6, 6, 6]
-    assert len(calls) == 6900
+    assert len(calls) == 2724  # one climb for every g; a sweep of its own levels for each g took 6,900
 
 
-def _g_extra_masks_by_the_removal_loop(n, g):
-    """The removal sets that hold vertex 0, by size, up to the first separating one: g-extra's earlier loop."""
-    seen = []
-    for s in range(1, 1 << n):
+def _g_extra_masks_by_a_plain_climb(n):
+    """The removal sets that hold vertex 0, in the order a climb with no grouping tries them.
+
+    Level by level, each set in lexicographic order, up to the first that
+    separates for the least g without an answer; its least component
+    answers every g below its size, and the level starts over for the next g.
+    """
+    seen, g, s = [], 0, 1
+    while g <= n and s < 1 << n:
         for rest in combinations(range(1, 1 << n), s - 1):
             mask = 1 | sum(1 << v for v in rest)
             seen.append(mask)
             comps = component_masks(n, mask)
-            if len(comps) >= 2 and min(c.bit_count() for c in comps) >= g + 1:
-                return seen
+            if len(comps) >= 2 and min(c.bit_count() for c in comps) > g:
+                g = min(c.bit_count() for c in comps)
+                break
+        else:
+            s += 1
     return seen
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_g_extra_tries_the_removal_sets_of_its_earlier_loop_in_order(monkeypatch, n):
-    """With the identity as the only coordinate permutation, Stab(0) is trivial and the sweep is the earlier loop."""
+def test_g_extra_tries_the_removal_sets_of_its_earlier_loop_in_order(monkeypatch, fresh_climb, n):
+    """With the identity as the only coordinate permutation, Stab(0) is trivial and each sweep is the earlier loop."""
     identity = tuple(range(1 << n))
     monkeypatch.setattr(analysis, "automorphism_vertex_tables", lambda m: [identity] if m == n else None)
+    seen = []
+
+    def recording_sweep(masks, starts, tables, s, first_cut):
+        assert tables == [identity]
+        return sweep(masks, starts, tables, s, _recording(first_cut, seen))
+
+    monkeypatch.setattr(analysis, "sweep", recording_sweep)
     for g in range(n + 1):
-        seen = []
-
-        def recording_sweep(masks, starts, tables, s, first_cut):
-            assert tables == [identity]
-            return sweep(masks, starts, tables, s, _recording(first_cut, seen))
-
-        monkeypatch.setattr(analysis, "sweep", recording_sweep)
         try:
             g_extra_connectivity(n, g)
         except ValueError:
-            pass  # Q3 has no removal for g = 2 or 3: both try every set
-        assert seen == _g_extra_masks_by_the_removal_loop(n, g), (n, g)
+            pass  # Q3 has no removal for g = 2 or 3: the climb tries every set for g = 2
+    assert seen == _g_extra_masks_by_a_plain_climb(n), n
 
 
 @cache
@@ -438,20 +454,24 @@ def _orbit_key(n, mask):
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_g_extra_tests_an_image_of_every_removal_set_holding_vertex_0_below_its_answer(monkeypatch, n):
+def test_g_extra_tests_an_image_of_every_removal_set_holding_vertex_0_below_its_answer(monkeypatch, fresh_climb, n):
+    sweeps = []  # the unions each sweep of the climb tested
+
+    def recording_sweep(masks, starts, tables, s, first_cut):
+        sweeps.append([])
+        return sweep(masks, starts, tables, s, _recording(first_cut, sweeps[-1]))
+
+    monkeypatch.setattr(analysis, "sweep", recording_sweep)
+    answers = []
     for g in range(n + 1):
-        tested = []
-
-        def recording_sweep(masks, starts, tables, s, first_cut):
-            return sweep(masks, starts, tables, s, _recording(first_cut, tested))
-
-        monkeypatch.setattr(analysis, "sweep", recording_sweep)
         try:
-            answer = g_extra_connectivity(n, g)
+            answers.append(g_extra_connectivity(n, g))
         except ValueError:
-            answer = 1 << n  # Q3 has no removal for g = 2 or 3: every size is swept to its end
+            answers.append(1 << n)  # Q3 has no removal for g = 2 or 3: every size is swept to its end
+    for tested in sweeps:
         assert all(mask & 1 for mask in tested) and len(tested) == len(set(tested))
-        keys = {_orbit_key(n, mask) for mask in tested}
+    keys = {_orbit_key(n, mask) for tested in sweeps for mask in tested}
+    for g, answer in enumerate(answers):
         for s in range(1, answer):
             for rest in combinations(range(1, 1 << n), s - 1):
                 assert _orbit_key(n, 1 | sum(1 << v for v in rest)) in keys, (n, g, rest)

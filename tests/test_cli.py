@@ -424,6 +424,18 @@ def test_verify_g_extra(capsys):
     assert values == {0: 4, 1: 6, 2: 6, 3: 6, 4: 6}
 
 
+def test_verify_g_extra_climbs_once_in_each_command(capsys, monkeypatch):
+    calls = []
+    component_masks = cli.analysis.component_masks
+    monkeypatch.setattr(cli.analysis, "component_masks", lambda n, mask: calls.append(mask) or component_masks(n, mask))
+    counts = []
+    for _ in range(2):
+        assert run(capsys, "verify", "--scope", "g-extra")[0] == 0
+        counts.append(len(calls))
+        calls.clear()
+    assert counts[0] == counts[1] > 0
+
+
 def test_verify_csv_format(capsys):
     code, out, _ = run(capsys, "verify", "--scope", "budengs", "--format", "csv")
     assert code == 0
@@ -600,7 +612,7 @@ def test_verify_checks_each_built_element_once(capsys, monkeypatch):
 
     checked, built = [], []
     check = embeddings._Embedded._violation
-    monkeypatch.setattr(embeddings._Embedded, "_violation", lambda el, pairs: checked.append(el) or check(el, pairs))
+    monkeypatch.setattr(embeddings._Embedded, "_violation", lambda el, *args: checked.append(el) or check(el, *args))
 
     def counting(build):
         def wrapper(n, k):

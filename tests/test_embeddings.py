@@ -1,5 +1,6 @@
 import random
 from dataclasses import replace
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -299,3 +300,30 @@ def test_path_violations_reported():
         first = el.violation()
         assert el.violation() == first == twin.violation()
         assert el == twin and hash(el) == hash(twin) == digest
+
+
+def _valid(n, verts, pairs):
+    """The rule pair by pair, sharing nothing with _violation: labels in range, distinct, each pair one bit apart."""
+    return (all(0 <= v < 1 << n for v in verts) and len(set(verts)) == len(verts)
+            and all(bin(a ^ b).count("1") == 1 for a, b in pairs))
+
+
+def test_violation_matches_the_pairwise_rule_on_every_small_element_of_q3():
+    labels = range(-1, 9)  # Q3's labels and one out of range at each end
+    valid = {"path": 0, "cycle": 0, "star": 0}
+    for length in range(1, 5):
+        for verts in product(labels, repeat=length):
+            ok = _valid(3, verts, zip(verts, verts[1:]))
+            assert (CubePath(3, verts).violation() is None) == ok, verts
+            valid["path"] += ok
+    for verts in product(labels, repeat=4):
+        ok = _valid(3, verts, zip(verts, verts[1:] + verts[:1]))
+        assert (CubeCycle(3, verts).violation() is None) == ok, verts
+        valid["cycle"] += ok
+    for center in labels:
+        for leaves in (c for r in range(2, 5) for c in combinations_with_replacement(labels, r)):
+            ok = _valid(3, (center, *leaves), ((center, leaf) for leaf in leaves))
+            assert (CubeStar(3, center, leaves).violation() is None) == ok, (center, leaves)
+            valid["star"] += ok
+    # 8 one-vertex paths, 24 + 48 + 96 longer ones; 6 squares from 4 starts each way; 8 centres, 4 leaf sets each
+    assert valid == {"path": 176, "cycle": 48, "star": 32}
