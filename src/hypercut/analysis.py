@@ -306,16 +306,17 @@ def _g_extra_climb(n: int) -> tuple[int | None, ...]:
 
     Level s is the sweep over the 2^n one-vertex masks with the single
     start 0, so only removal sets that hold vertex 0 are tried, and from
-    size 3 on only up to Stab(0), the coordinate permutations, which group
-    the vertices by weight.  That is exact: the automorphisms keep every
-    component size and move vertex 0 onto every vertex, so the masks are
-    one run that begins at 0.  The climb starts at s = 1 and sweeps each
-    level for the least g without an answer.  A hit whose least component
-    has m vertices answers every g below m with s, and the same level is
-    swept again for the next g; a miss moves up one level.  No level below
-    kappa_g holds a removal for g, so none holds one for a larger g either.
+    size 3 on only up to Stab(0), the coordinate permutations of
+    core.automorphism_vertex_tables, which group the vertices by weight.
+    That is exact: the automorphisms keep every component size and move
+    vertex 0 onto every vertex, so the masks are one run that begins at 0.
+    The climb starts at s = 1 and sweeps each level for the least g without
+    an answer.  A hit whose least component has m vertices answers every g
+    below m with s, and the same level is swept again for the next g; a
+    miss moves up one level.  No level below kappa_g holds a removal for g,
+    so none holds one for a larger g either.
     """
-    tables = automorphism_vertex_tables(n)[:: 1 << n]
+    tables = automorphism_vertex_tables(n)
     masks = [1 << v for v in range(1 << n)]
     answers: list[int | None] = []
     s = 1

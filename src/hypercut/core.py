@@ -76,19 +76,20 @@ class Cube:
 
 @lru_cache(maxsize=None)
 def automorphism_vertex_tables(n: int) -> tuple[tuple[int, ...], ...]:
-    """Vertex maps of all n! * 2^n automorphisms of Q_n, as lookup tables.
+    """Vertex maps of the n! coordinate permutations of Q_n, its automorphisms fixing 0, as lookup tables.
 
-    Table p * 2^n + mask sends bit i of a label to bit perm[i], for the p-th
-    permutation perm of itertools.permutations, then XORs mask: the first
-    table is the identity, and those with table[0] == 0 are the coordinate
-    permutations.  Enumerating the whole group is only sane at desk scale.
+    Table p sends bit i of a label to bit perm[i], for the p-th permutation
+    perm of itertools.permutations, so the first table is the identity.
+    Each followed by the 2^n translations (XOR with a mask) gives the whole
+    group; callers translate for themselves.  Refused past n = 5, the oracle's
+    desk scale.
     """
     if n > 5:
-        raise ValueError(f"full group enumeration is limited to n <= 5, got {n}")
+        raise ValueError(f"coordinate permutation tables are limited to n <= 5, got {n}")
     tables: list[tuple[int, ...]] = []
     for perm in itertools.permutations(range(n)):
-        base = [0]
+        table = [0]
         for p in perm:  # step i appends labels 2^i .. 2^(i+1) - 1: the earlier images, with bit perm[i] set
-            base += [b | 1 << p for b in base]
-        tables += [tuple([b ^ mask for b in base]) for mask in range(1 << n)]
+            table += [b | 1 << p for b in table]
+        tables.append(tuple(table))
     return tuple(tables)

@@ -71,9 +71,6 @@ class _Embedded:
     def size(self) -> int:
         return len(self.verts)
 
-    def vertex_set(self) -> frozenset[int]:
-        return frozenset(self.verts)
-
 
 @dataclass(frozen=True)
 class CubePath(_Embedded):

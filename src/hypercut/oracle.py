@@ -41,8 +41,8 @@ class BudgetError(RuntimeError):
     """The requested search cannot be answered soundly within the budget."""
 
 
-# The largest dimension any search accepts.  What holds it at 5: pool_block reads core.automorphism_vertex_tables,
-# which refuses n > 5, and Q6's P7 block alone stands for 522,240 labelled copies, over _COPY_CEILING.
+# The largest dimension any search accepts.  What holds it at 5: core.automorphism_vertex_tables, pool_block's
+# coordinate permutations, refuses n > 5, and Q6's P7 block alone makes 522,240 labelled copies, over _COPY_CEILING.
 MAX_SEARCH_DIM = 5
 
 
@@ -239,7 +239,7 @@ def pool_block(n: int, shape: str, size: int) -> tuple[tuple[int, ...], tuple[in
     cross its blocks.
     The cache lives for one command: cli.main clears it as it starts.
     """
-    perms = automorphism_vertex_tables(n)[:: 1 << n]  # the coordinate permutations, table[0] == 0
+    perms = automorphism_vertex_tables(n)  # the coordinate permutations; the Gray steps below translate
     shifts = coordinate_shift_masks(n)
     gray = [shifts[i] for i in _gray_steps(1 << n)]
     keys: dict[int, None] = {}  # masks, in insertion order
@@ -401,7 +401,7 @@ def _level_search(
         raise BudgetError(
             f"size-{s} sweep needs about {total} family tests, over the {_COMBINATION_CEILING} ceiling"
         )
-    return sweep(masks, reps, automorphism_vertex_tables(n)[:: 1 << n], s, partial(_first_cut, n, memo, stats))
+    return sweep(masks, reps, automorphism_vertex_tables(n), s, partial(_first_cut, n, memo, stats))
 
 
 def min_structure_cut(

@@ -93,10 +93,10 @@ def test_criterion_5_single_element_case_analyses():
     # every embedded P_4 leaves Q_3 connected, every embedded P_6 leaves Q_4 connected
     for n, k in ((3, 4), (4, 6)):
         for path in enumerate_copies(n, StructureKind("path", k)):
-            ok = ok and len(components_after_removal(n, path.vertex_set())) == 1
+            ok = ok and len(components_after_removal(n, path.verts)) == 1
     # every embedded 6-cycle leaves Q_4 connected
     for cyc in enumerate_copies(4, StructureKind("cycle", 6)):
-        ok = ok and len(components_after_removal(4, cyc.vertex_set())) == 1
+        ok = ok and len(components_after_removal(4, cyc.verts)) == 1
     _report(5, ok, "no single P4 cuts Q3, no single P6 or C6 cuts Q4 (exhaustive)",
             time.perf_counter() - start, 10.0)
 

@@ -23,6 +23,7 @@ from hypercut.analysis import (
 from hypercut.core import Cube, automorphism_vertex_tables
 from hypercut.cuts import CubeStar, CutFamily, StructureKind, build_cycle_cut, build_path_cut
 from hypercut.embeddings import CubeCycle, CubePath
+from test_core import whole_group
 
 
 def test_remove_nothing():
@@ -327,7 +328,7 @@ def test_the_sweep_hands_pairs_one_batch_a_start_and_singles_one_batch_of_starts
 
 def test_the_sweep_raises_when_an_image_under_the_stabiliser_is_missing_from_its_run():
     masks = [1 << v for v in range(16)]  # Q4's one-vertex masks: one run, whose Stab(0) groups them by weight
-    tables = automorphism_vertex_tables(4)[::16]
+    tables = automorphism_vertex_tables(4)
     assert sweep(masks, [0], tables, 3, lambda base, cands: None) is None
     del masks[8]  # vertex 8, in the weight-1 group led by vertex 1
     assert sweep(masks, [0], tables, 2, lambda base, cands: None) is None  # s = 2 forms no group
@@ -448,9 +449,9 @@ def test_g_extra_tries_the_removal_sets_of_its_earlier_loop_in_order(monkeypatch
 
 @cache
 def _orbit_key(n, mask):
-    """The least image of a vertex set under the whole group of Q_n, read from the vertex tables alone."""
+    """The least image of a vertex set under the whole group of Q_n, read from the test-local group."""
     verts = [v for v in range(1 << n) if mask >> v & 1]
-    return min(sum(1 << table[v] for v in verts) for table in automorphism_vertex_tables(n))
+    return min(sum(1 << table[v] for v in verts) for table in whole_group(n))
 
 
 @pytest.mark.parametrize("n", [3, 4])

@@ -254,7 +254,7 @@ def test_range_checks_do_not_build_two_to_the_n():
 def test_overlapping_windows_still_exact_paths():
     # shifted last window shares vertices with its predecessor but stays a P_k
     family = build_path_cut(5, 3)
-    assert family.elements[1].vertex_set() & family.elements[2].vertex_set()
+    assert set(family.elements[1].verts) & set(family.elements[2].verts)
     for el in family.elements:
         assert el.size == 3
 

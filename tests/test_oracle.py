@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypercut import cli, embeddings, formulas, oracle
 from hypercut.analysis import is_disconnecting_mask, path_neighbor_bound, validate_cut
-from hypercut.core import adjacent, automorphism_vertex_tables
+from hypercut.core import adjacent
 from hypercut.cuts import StructureKind, admissible_shapes, build_path_cut
 from hypercut.embeddings import CubeCycle, CubePath, CubeStar
 from hypercut.oracle import (
@@ -20,6 +20,7 @@ from hypercut.oracle import (
     min_structure_cut,
     pool_block,
 )
+from test_core import whole_group
 
 
 def _brute_min_cut(n, kind, mode, max_size):
@@ -270,7 +271,7 @@ def _whole_pool_partition(pool, n):
     orbits, seen = set(), set()
     for shape, mask in keys:
         if (shape, mask) not in seen:
-            orbit = frozenset((shape, _image(table, mask)) for table in automorphism_vertex_tables(n))
+            orbit = frozenset((shape, _image(table, mask)) for table in whole_group(n))
             assert orbit <= keys  # the pool is closed under the group
             orbits.add(orbit)
             seen |= orbit
@@ -370,7 +371,7 @@ _BLOCKS = [(n, shape, size) for n in (3, 4)
 def test_block_orbits_closed_under_random_automorphism(block, data):
     n, shape, size = block
     masks, starts = pool_block(n, shape, size)
-    table = data.draw(st.sampled_from(automorphism_vertex_tables(n)))
+    table = data.draw(st.sampled_from(whole_group(n)))
     run_of = {mask: bisect_right(starts, i) - 1 for i, mask in enumerate(masks)}
     for mask in masks:
         assert run_of[_image(table, mask)] == run_of[mask]
@@ -576,7 +577,7 @@ def test_the_sweep_tests_each_family_from_a_run_start_once_and_as_many_as_its_es
     if n == 5:
         return  # the group check below would map 818,560 pairs through 3,840 automorphisms
     # the union of every family of the pool is an automorphic image of one the sweep tested
-    tables = automorphism_vertex_tables(n)
+    tables = whole_group(n)
 
     def orbit_key(mask):
         verts = [v for v in range(1 << n) if mask >> v & 1]

@@ -24,3 +24,9 @@ def test_every_traced_name_resolves_to_a_callable():
     for module_name, attr in names:
         module = importlib.import_module(module_name)
         assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_the_aut_tables_hook_reads_the_tables_cache():
+    # the tracer counts core.aut_tables from the cache's misses, so dropping the lru_cache breaks a traced run
+    core = importlib.import_module("hypercut.core")
+    assert callable(getattr(core.automorphism_vertex_tables, "cache_info", None))
