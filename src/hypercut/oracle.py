@@ -27,7 +27,6 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, lru_cache, partial
-from itertools import repeat
 from typing import Callable, Iterator, Mapping
 
 from .analysis import coordinate_shift_masks, cut_bits, is_disconnecting_mask, neighborhood_vertex_mask, sweep
@@ -287,43 +286,33 @@ _COPY_CEILING = 340_000
 
 
 # the seeded pass calls _cut_test once per union, so mask comes last and each level binds
-# partial(_cut_test, n, memo, stats) positionally: bound by keyword, each call would copy the keywords
-def _cut_test(n: int, memo: dict[int, bool], stats: dict[str, int], mask: int) -> bool:
-    cached = memo.get(mask)
-    if cached is not None:
-        stats["memo_hits"] += 1
-        return cached
-    result = is_disconnecting_mask(n, mask)
+# partial(_cut_test, n, stats) positionally: bound by keyword, each call would copy the keywords.
+# is_disconnecting_mask is looked up in this module at each call, so a hook on that name sees every test
+def _cut_test(n: int, stats: dict[str, int], mask: int) -> bool:
     stats["cut_tests"] += 1
-    memo[mask] = result
-    return result
+    return is_disconnecting_mask(n, mask)
 
 
-def _first_cut(n: int, memo: dict[int, bool], stats: dict[str, int], base: int, cands: list[int]) -> int | None:
+def _first_cut(n: int, stats: dict[str, int], base: int, cands: list[int]) -> int | None:
     """The sweep's batch test: cut_bits decides every union base | cands[t] at once.
 
-    The unions up to the first cut then pass through the memo in order, so
-    the counts and the memo end as _cut_test on each in turn leaves them.
+    The unions up to and including the first cut, or all of them on a miss,
+    each count as one cut test, as _cut_test on each in turn counts them.
     """
     bits = cut_bits(n, base, cands)
-    walked = cands[:(bits & -bits).bit_length()] if bits else cands
-    before = len(memo)
-    memo.update(zip(map(base.__or__, walked), repeat(False)))
-    stats["cut_tests"] += len(memo) - before
-    stats["memo_hits"] += len(walked) - (len(memo) - before)
-    if not bits:
-        return None
-    memo[base | walked[-1]] = True
-    return len(walked) - 1
+    tested = (bits & -bits).bit_length() or len(cands)
+    stats["cut_tests"] += tested
+    return tested - 1 if bits else None
 
 
 def _single_cut(n: int, shapes: tuple[tuple[str, int], ...], stats: dict[str, int]) -> CutElement | None:
     """The first seed, in block and DFS order, whose removal alone is a cut; None if no copy's is.
 
     Every copy is an automorphic image of a seed, so the seeds answer for
-    their whole blocks.  Masks shared by several seeds are tested once.
+    their whole blocks.  A mask shared by several seeds is tested, and
+    counted, at each of them.
     """
-    is_cut = partial(_cut_test, n, {}, stats)
+    is_cut = partial(_cut_test, n, stats)
     for shape, size in shapes:
         for seed in _seeds(n, shape, size):
             if is_cut(sum(1 << v for v in seed)):
@@ -387,13 +376,12 @@ def _level_search(
 ) -> tuple[int, ...] | None:
     """Search all families of size s; None only after an exhaustive sweep.
 
-    One memo, for this level, serves the seeded pass's one-union cut test
-    and then the batch test of analysis.sweep over the run starts reps and
-    the coordinate permutations, once the sweep's family count is within
-    _COMBINATION_CEILING.
+    The seeded pass tests one union at a time, and then analysis.sweep, over
+    the run starts reps and the coordinate permutations, hands its batches to
+    cut_bits, once the sweep's family count is within _COMBINATION_CEILING.
+    Every union handed to either counts once in cut_tests.
     """
-    memo: dict[int, bool] = {}
-    hit = _seed_level(masks, scorers, s, partial(_cut_test, n, memo, stats))
+    hit = _seed_level(masks, scorers, s, partial(_cut_test, n, stats))
     if hit:
         return hit
     total = sum(math.comb(len(masks) - r - 1, s - 1) for r in reps)
@@ -401,7 +389,7 @@ def _level_search(
         raise BudgetError(
             f"size-{s} sweep needs about {total} family tests, over the {_COMBINATION_CEILING} ceiling"
         )
-    return sweep(masks, reps, automorphism_vertex_tables(n), s, partial(_first_cut, n, memo, stats))
+    return sweep(masks, reps, automorphism_vertex_tables(n), s, partial(_first_cut, n, stats))
 
 
 def min_structure_cut(
@@ -433,7 +421,7 @@ def min_structure_cut(
     if not fits:
         raise ValueError(f"no embedded copies of {kind.label()} exist in Q_{n}")
     shapes = admissible_shapes(kind, mode)
-    stats = {"copies": 0, "orbits": 0, "cut_tests": 0, "memo_hits": 0}
+    stats = {"copies": 0, "orbits": 0, "cut_tests": 0}
     single = _single_cut(n, shapes, stats)
     if single is not None:
         return OracleResult(1, EXACT, CutFamily(n, kind, mode, (single,)), stats=stats)

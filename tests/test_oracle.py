@@ -479,12 +479,12 @@ _SEEDED_BLOCKS = (
 @pytest.mark.parametrize("n,shape,size", _SEEDED_BLOCKS, ids=[f"Q{n}-{s}{k}" for n, s, k in _SEEDED_BLOCKS])
 def test_seeds_answer_level_1_and_count_the_orbits_of_their_block(n, shape, size):
     masks, _ = pool_block(n, shape, size)
-    stats = {"cut_tests": 0, "memo_hits": 0}
+    stats = {"cut_tests": 0}
     single = oracle._single_cut(n, ((shape, size),), stats)
     assert (single is not None) == any(is_disconnecting_mask(n, m) for m in masks)
-    if single is None:  # a miss has tested every seed's mask, each once
+    if single is None:  # a miss has tested every seed's mask, a mask shared by two seeds at each
         seed_masks = [sum(1 << v for v in seed) for seed in oracle._seeds(n, shape, size)]
-        assert (stats["cut_tests"], stats["memo_hits"]) == (len(set(seed_masks)), len(seed_masks) - len(set(seed_masks)))
+        assert stats["cut_tests"] == len(seed_masks)
     else:
         assert _mask(single.verts) in masks
         assert single.verts in oracle._elements_on(n, shape, _mask(single.verts))
@@ -512,9 +512,9 @@ def test_level_1_walks_at_most_492_seeds_at_every_kind_up_to_dimension_5():
     for n in range(1, 6):
         for kind in _every_kind(n):
             for mode in ("structure", "substructure"):
-                stats = {"cut_tests": 0, "memo_hits": 0}
+                stats = {"cut_tests": 0}
                 oracle._single_cut(n, admissible_shapes(kind, mode), stats)
-                walked[n, kind.label(), mode] = stats["cut_tests"] + stats["memo_hits"]
+                walked[n, kind.label(), mode] = stats["cut_tests"]
     assert max(walked.values()) == walked[5, "P14", "structure"] == 492
 
 
@@ -557,7 +557,7 @@ def test_the_sweep_tests_each_family_from_a_run_start_once_and_as_many_as_its_es
     _, masks, reps = oracle._pool(n, kind, mode)
     tested = []
 
-    def record(n, memo, stats, base, cands):  # the sweep's batch test, answering no for every union
+    def record(n, stats, base, cands):  # the sweep's batch test, answering no for every union
         tested.extend(base | c for c in cands)
         return None
 
@@ -588,22 +588,53 @@ def test_the_sweep_tests_each_family_from_a_run_start_once_and_as_many_as_its_es
 
 
 @pytest.mark.parametrize("stop", [4, 6], ids=["no-cut", "cut-at-4"])
-def test_the_batch_cut_test_counts_and_memoises_as_the_one_union_test_in_turn(stop):
+def test_the_batch_cut_test_counts_as_the_one_union_test_in_turn(stop):
     # base removes vertices 1, 2 and 4 of Q4, so adding vertex 8, the last neighbour of 0, cuts it off
     base = 0b10110
     cands = [1 << 3, 1 << 5, 1 << 3, 1 << 1, 1 << 8, 1 << 9][:stop]  # a repeat, and a union equal to base
 
-    def in_turn(memo, stats):
-        return next((t for t, c in enumerate(cands) if oracle._cut_test(4, memo, stats, base | c)), None)
+    def in_turn(stats):
+        return next((t for t, c in enumerate(cands) if oracle._cut_test(4, stats, base | c)), None)
 
     sides = []
-    for test in (in_turn, lambda memo, stats: oracle._first_cut(4, memo, stats, base, cands)):
-        memo, stats = {}, {"cut_tests": 0, "memo_hits": 0}
-        oracle._cut_test(4, memo, stats, base | 1 << 5)  # a union the seeded pass already tested
-        sides.append((test(memo, stats), memo, stats))
+    for test in (in_turn, lambda stats: oracle._first_cut(4, stats, base, cands)):
+        stats = {"cut_tests": 0}
+        sides.append((test(stats), stats))
     assert sides[0] == sides[1]
     assert sides[1][0] == (None if stop == 4 else 4)
-    assert sides[1][2] == {"cut_tests": 3 if stop == 4 else 4, "memo_hits": 2}  # the seeded union counted too
+    assert sides[1][1] == {"cut_tests": 4 if stop == 4 else 5}  # the repeat and the base-equal union counted too
+
+
+# level 1 and the seeded pass hand one union at a time to is_disconnecting_mask, the sweep a batch to cut_bits.
+# Q3 vertices with families of up to 3 miss the pair sweep and are answered by the seeded pass at s = 3; Q4 edge
+# substructure misses the pair sweep of two blocks; Q5 P4 structure misses a pair sweep of 1,040 vertex sets;
+# the s = 2 seeded pass answers Q5 C8 structure; Q4 vertices miss the pair and the triple sweeps; and a pair
+# batch of Q3 C4 structure stops at a cut
+_COUNTED_SEARCHES = [(3, StructureKind("vertex", 1), "structure", 3), (4, StructureKind("edge", 2), "substructure", 4),
+                     (5, StructureKind("path", 4), "structure", 4), (5, StructureKind("cycle", 8), "structure", 4),
+                     (4, StructureKind("vertex", 1), "structure", 4), (3, StructureKind("cycle", 4), "structure", 4)]
+
+
+@pytest.mark.parametrize("n,kind,mode,size", _COUNTED_SEARCHES,
+                         ids=[f"Q{n}-{k.label()}-{m}" for n, k, m, _ in _COUNTED_SEARCHES])
+def test_a_search_counts_each_union_handed_to_a_cut_test_once(monkeypatch, n, kind, mode, size):
+    handed = []
+    one, batch = oracle.is_disconnecting_mask, oracle.cut_bits
+
+    def one_union(n, mask):
+        handed.append(1)
+        return one(n, mask)
+
+    def batch_of_unions(n, base, cands):  # the positions up to the first cut, or all of them
+        bits = batch(n, base, cands)
+        handed.append((bits & -bits).bit_length() or len(cands))
+        return bits
+
+    monkeypatch.setattr(oracle, "is_disconnecting_mask", one_union)
+    monkeypatch.setattr(oracle, "cut_bits", batch_of_unions)
+    result = min_structure_cut(n, kind, mode, SearchBudget(size))
+    assert result.status == "exact"
+    assert result.stats["cut_tests"] == sum(handed)
 
 
 @pytest.mark.parametrize("n,kind,levels,scored", [(5, StructureKind("cycle", 8), 1, [1]),
