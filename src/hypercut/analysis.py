@@ -12,8 +12,8 @@ connectivity, takes a family's first element from the orbit starts and its
 second up to the first's stabiliser, and hands its predicate each family
 prefix with every candidate for the last element.  g-extra connectivity is
 nondecreasing in g, so one climb over the removal sizes answers every g of
-Q_n: each level is swept for the least g without an answer, again after a
-hit, and a miss moves up a level.
+Q_n: each level is swept once, and a hit raises g in place for the rest of
+the sweep.
 """
 
 from __future__ import annotations
@@ -287,8 +287,8 @@ def g_extra_connectivity(n: int, g: int) -> int:
     Read from one climb over the removal sizes that answers every g of Q_n
     at once (_g_extra_climb), kept per n: a removal whose components all
     have g + 1 vertices or more works for every smaller g too, so the
-    answer never falls as g grows, and each level is swept for the least g
-    still open.  Only sane up to the exhaustive ceiling, n = 4.
+    answer never falls as g grows, and each level is swept once, its hits
+    raising g in place.  Only sane up to the exhaustive ceiling, n = 4.
     """
     if n > 4:
         raise ValueError(f"dimension {n} above exhaustive ceiling 4")
@@ -310,31 +310,29 @@ def _g_extra_climb(n: int) -> tuple[int | None, ...]:
     core.automorphism_vertex_tables, which group the vertices by weight.
     That is exact: the automorphisms keep every component size and move
     vertex 0 onto every vertex, so the masks are one run that begins at 0.
-    The climb starts at s = 1 and sweeps each level for the least g without
-    an answer.  A hit whose least component has m vertices answers every g
-    below m with s, and the same level is swept again for the next g; a
-    miss moves up one level.  No level below kappa_g holds a removal for g,
-    so none holds one for a larger g either.
+    Each level is swept once, from s = 1 up.  A removal whose least
+    component has m vertices, m above the least g still open, answers every
+    open g below m with s, and the rest of the sweep is judged against the
+    raised g: each set passed over failed a weaker test, so it fails this
+    one too, and no lower level held a removal for any g still open.  The
+    climb ends once g = n is answered.
     """
     tables = automorphism_vertex_tables(n)
     masks = [1 << v for v in range(1 << n)]
     answers: list[int | None] = []
-    s = 1
-    while len(answers) <= n and s < 1 << n:
-        g, least = len(answers), []
+    for s in range(1, 1 << n):
 
-        def first_separating(base: int, cands: list[int]) -> int | None:
+        def answers_the_last_g(base: int, cands: list[int]) -> int | None:
             for t, c in enumerate(cands):
                 comps = component_masks(n, base | c)
-                if len(comps) >= 2 and (smallest := min(map(int.bit_count, comps))) > g:
-                    least.append(smallest)
-                    return t
+                if len(comps) >= 2 and (smallest := min(map(int.bit_count, comps))) > len(answers):
+                    answers.extend([s] * (smallest - len(answers)))
+                    if len(answers) > n:
+                        return t
             return None
 
-        if sweep(masks, [0], tables, s, first_separating) is None:
-            s += 1
-        else:
-            answers.extend([s] * (least[0] - g))
+        if sweep(masks, [0], tables, s, answers_the_last_g) is not None:
+            break
     answers += [None] * (n + 1 - len(answers))
     return tuple(answers[: n + 1])
 

@@ -403,11 +403,19 @@ def test_g_extra_grows_components_only_up_to_the_first_separating_removal_set(mo
     calls = []
     monkeypatch.setattr(analysis, "component_masks", lambda n, mask: calls.append(mask) or component_masks(n, mask))
     assert [g_extra_connectivity(4, g) for g in range(5)] == [4, 6, 6, 6, 6]
-    assert len(calls) == 2724  # one climb for every g; a sweep of its own levels for each g took 6,900
+    assert len(calls) == 1729  # one sweep of each level, so one call per removal set tried
 
 
-def _g_extra_masks_by_a_plain_climb(n):
-    """The removal sets that hold vertex 0, in the order a climb with no grouping tries them.
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_g_extra_hands_no_removal_set_to_component_growth_twice_in_one_climb(monkeypatch, fresh_climb, n):
+    calls = []
+    monkeypatch.setattr(analysis, "component_masks", lambda m, mask: calls.append(mask) or component_masks(m, mask))
+    analysis._g_extra_climb(n)
+    assert len(calls) == len(set(calls)) > 0, n
+
+
+def _g_extra_masks_by_the_earlier_loop(n):
+    """The removal sets that hold vertex 0, in the order the earlier climb with no grouping tried them.
 
     Level by level, each set in lexicographic order, up to the first that
     separates for the least g without an answer; its least component
@@ -427,9 +435,28 @@ def _g_extra_masks_by_a_plain_climb(n):
     return seen
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_g_extra_tries_the_removal_sets_of_its_earlier_loop_in_order(monkeypatch, fresh_climb, n):
-    """With the identity as the only coordinate permutation, Stab(0) is trivial and each sweep is the earlier loop."""
+def _g_extra_masks_by_a_plain_climb(n):
+    """The removal sets that hold vertex 0, in the order a climb with no grouping tries them.
+
+    One pass per level, each set in lexicographic order.  A set whose least
+    component has more than g vertices raises g to that size for the rest
+    of the pass, and the climb stops once g is above n.
+    """
+    seen, g = [], 0
+    for s in range(1, 1 << n):
+        for rest in combinations(range(1, 1 << n), s - 1):
+            mask = 1 | sum(1 << v for v in rest)
+            seen.append(mask)
+            comps = component_masks(n, mask)
+            if len(comps) >= 2 and min(c.bit_count() for c in comps) > g:
+                g = min(c.bit_count() for c in comps)
+                if g > n:
+                    return seen
+    return seen
+
+
+def _g_extra_masks_tried_with_the_identity_alone(monkeypatch, n):
+    """The removal sets every g of Q_n hands to its predicate, with the identity as the only coordinate permutation."""
     identity = tuple(range(1 << n))
     monkeypatch.setattr(analysis, "automorphism_vertex_tables", lambda m: [identity] if m == n else None)
     seen = []
@@ -443,7 +470,23 @@ def test_g_extra_tries_the_removal_sets_of_its_earlier_loop_in_order(monkeypatch
         try:
             g_extra_connectivity(n, g)
         except ValueError:
-            pass  # Q3 has no removal for g = 2 or 3: the climb tries every set for g = 2
+            pass  # Q3 has no removal for g = 2 or 3: the climb tries every set
+    return seen
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_g_extra_tries_the_removal_sets_of_its_earlier_loop_in_order(monkeypatch, fresh_climb, n):
+    """The earlier loop swept a level over after each hit; the climb tries its sets in its order, each once."""
+    seen = _g_extra_masks_tried_with_the_identity_alone(monkeypatch, n)
+    earlier = _g_extra_masks_by_the_earlier_loop(n)
+    assert len(earlier) > len(set(earlier)), n  # the earlier loop did repeat sets
+    assert seen == list(dict.fromkeys(earlier)), n
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_g_extra_tries_the_removal_sets_of_a_one_pass_lexicographic_climb_in_order(monkeypatch, fresh_climb, n):
+    """With the identity as the only coordinate permutation, Stab(0) is trivial and each sweep is one lexicographic pass."""
+    seen = _g_extra_masks_tried_with_the_identity_alone(monkeypatch, n)
     assert seen == _g_extra_masks_by_a_plain_climb(n), n
 
 
