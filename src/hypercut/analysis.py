@@ -5,6 +5,10 @@ Vertex sets live in single integers (bit v set = vertex v present).  A
 component grows by passes over the n coordinates, one shift-and-mask
 operation per coordinate, however many vertices move; a pass reaches at
 least as far as a BFS level, and most cut tests settle in two passes.
+The n coordinate masks are built by doubling one period, O(n * 2^n) bits
+in all, and a component mask is decoded into its vertices in one pass
+over its binary digits, so each walk over a whole 2^n-bit mask is linear
+in 2^n.
 cut_bits turns that around for the sweep's many small complements: one
 int per vertex, one bit per removal, so one big-int operation moves every
 removal of a batch a step.  One sweep, for the oracle's levels and g-extra
@@ -31,15 +35,20 @@ from .cuts import CutFamily, admissible_shapes
 
 @lru_cache(maxsize=None)
 def coordinate_shift_masks(n: int) -> tuple[tuple[int, int, int], ...]:
-    """Per coordinate i: (2^i, mask of labels with bit i clear, with bit i set)."""
-    size = 1 << n
+    """Per coordinate i: (2^i, mask of labels with bit i clear, with bit i set).
+
+    lo starts as one period, 2^i ones in its low half, and doubles until it
+    fills the 2^n bits: n - i - 1 shift-and-or steps of at most 2^n bits, so
+    the n masks cost O(n * 2^n) bits in all, not the O(4^n) of ORing in
+    each of the 2^(n-i-1) blocks in turn.
+    """
     out = []
     for i in range(n):
         b = 1 << i
-        lo = 0
-        block = (1 << b) - 1
-        for base in range(0, size, 2 * b):
-            lo |= block << base
+        lo, period = (1 << b) - 1, 2 * b
+        while period < 1 << n:
+            lo |= lo << period
+            period *= 2
         out.append((b, lo, lo << b))
     return tuple(out)
 
@@ -153,10 +162,9 @@ def components_after_removal(n: int, removed: Iterable[int]) -> tuple[frozenset[
     for v in removed_set:
         cube.check_vertex(v)
     mask = vertex_mask(n, removed_set)
-    comps = []
-    for comp_mask in component_masks(n, mask):
-        comp = frozenset(i for i in range(1 << n) if (comp_mask >> i) & 1)
-        comps.append(comp)
+    # one pass over each mask's binary digits, lowest vertex first
+    comps = [frozenset(v for v, d in enumerate(format(m, "b")[::-1]) if d == "1")
+             for m in component_masks(n, mask)]
     comps.sort(key=lambda c: (len(c), min(c)))
     return tuple(comps)
 

@@ -11,6 +11,7 @@ from hypercut.analysis import (
     VALID_CUT,
     component_masks,
     components_after_removal,
+    coordinate_shift_masks,
     cut_bits,
     g_extra_connectivity,
     is_disconnecting_mask,
@@ -125,6 +126,32 @@ def test_component_growth_follows_a_path_whose_coordinates_descend():
     removed |= 1 << 12
     assert is_disconnecting_mask(4, removed)
     assert component_masks(4, removed) == [vertex_mask(4, {0, 8}), vertex_mask(4, {14, 15})]
+
+
+def test_coordinate_shift_masks_split_the_cube_by_each_coordinate():
+    for n in range(13):
+        cube = sum(1 << v for v in range(1 << n))
+        masks = coordinate_shift_masks(n)
+        assert len(masks) == n
+        for i, (b, lo, hi) in enumerate(masks):
+            assert b == 1 << i
+            assert lo == sum(1 << v for v in range(1 << n) if not v >> i & 1), (n, i)
+            assert hi == cube & ~lo, (n, i)
+    # at n = 20 the structure alone, with no loop over the 2^20 vertices
+    n = 20
+    for i, (b, lo, hi) in enumerate(coordinate_shift_masks(n)):
+        assert b == 1 << i
+        assert lo | hi == (1 << (1 << n)) - 1
+        assert lo & hi == 0
+        assert hi == lo << b
+        assert lo.bit_count() == 1 << (n - 1)
+
+
+@pytest.mark.parametrize("n", [14, 16])
+def test_removing_the_neighbours_of_0_at_large_n_leaves_0_and_the_rest(n):
+    neighbours = {1 << i for i in range(n)}
+    rest = frozenset(range(1, 1 << n)) - neighbours
+    assert components_after_removal(n, neighbours) == (frozenset({0}), rest)
 
 
 def test_validate_constructed_family():
